@@ -19,12 +19,13 @@ surrogate right edge, which only shortens messages.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from typing import cast
 
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.machine.machine import SpatialMachine
+from repro.machine.machine import RoundPlan, SpatialMachine
 
 Op = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -39,20 +40,26 @@ def _check_values(machine: SpatialMachine, values: np.ndarray) -> np.ndarray:
     return values.copy()
 
 
-def _upsweep(machine: SpatialMachine, acc: np.ndarray, op: Op) -> None:
-    """Fold block sums to surrogate right edges; leaves left-half sums intact."""
-    n = machine.n
+def _doubling_levels(n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The doubling tree's levels, leaves first, as ``(left, right)`` pairs.
+
+    At level ``k`` (half-block ``2^k``) ``left`` is the right edge of each
+    block's full left half and ``right`` the block's surrogate right edge
+    (its last real index). The up-sweeps send left → right level by level;
+    the down-sweeps walk the same levels in reverse, right → left.
+    """
     half = 1
     while half < n:
-        b = 2 * half
-        starts = np.arange(0, n - half, b, dtype=np.int64)
-        if len(starts) == 0:
-            break
-        src = starts + half - 1          # right edge of the (full) left half
-        dst = np.minimum(starts + b - 1, n - 1)  # surrogate right edge
-        machine.send_batch(src, dst, acc[src])
-        acc[dst] = op(acc[src], acc[dst])
-        half = b
+        starts = np.arange(0, n - half, 2 * half, dtype=np.int64)
+        yield starts + half - 1, np.minimum(starts + 2 * half - 1, n - 1)
+        half *= 2
+
+
+def _upsweep(machine: SpatialMachine, acc: np.ndarray, op: Op) -> None:
+    """Fold block sums to surrogate right edges; leaves left-half sums intact."""
+    for left, right in _doubling_levels(machine.n):
+        machine.send_batch(left, right, acc[left])
+        acc[right] = op(acc[left], acc[right])
 
 
 def reduce(machine: SpatialMachine, values: np.ndarray, *, op: Op = np.add, root: int = 0) -> np.generic:
@@ -86,17 +93,8 @@ def broadcast(machine: SpatialMachine, value: int | np.generic, *, root: int = 0
     # value to the right edge of its block's left half. Level k moves
     # n / 2^k messages of curve gap <= 2^k, i.e. O(sqrt(2^k)) grid distance,
     # so the level energies form a geometric O(n) series.
-    half = 1
-    while half * 2 < n:
-        half *= 2
-    while half >= 1:
-        b = 2 * half
-        starts = np.arange(0, n - half, b, dtype=np.int64)
-        if len(starts):
-            left = starts + half - 1
-            right = np.minimum(starts + b - 1, n - 1)
-            machine.send_batch(right, left, out[right])
-        half //= 2
+    for left, right in reversed(list(_doubling_levels(n))):
+        machine.send_batch(right, left, out[right])
     return out
 
 
@@ -125,29 +123,20 @@ def exclusive_scan(machine: SpatialMachine, values: np.ndarray, *, op: Op = np.a
     # downsweep: replace the total with the identity, then push exclusive
     # prefixes down; left-half sums were preserved at left edges.
     acc[n - 1] = identity
-    half = 1
-    while half * 2 < n:
-        half *= 2
-    while half >= 1:
-        b = 2 * half
-        starts = np.arange(0, n - half, b, dtype=np.int64)
-        if len(starts):
-            left = starts + half - 1
-            right = np.minimum(starts + b - 1, n - 1)
-            # swap-and-combine: left gets the block prefix, right gets
-            # block-prefix ⊕ left-half-sum (two dependency rounds, batched)
-            k = len(starts)
-            machine.send_batch(
-                np.concatenate([right, left]),
-                np.concatenate([left, right]),
-                np.concatenate([acc[right], acc[left]]),
-                rounds=np.array([0, k, 2 * k]),
-            )
-            block_prefix = acc[right].copy()
-            left_sum = acc[left].copy()
-            acc[left] = block_prefix
-            acc[right] = op(block_prefix, left_sum)
-        half //= 2
+    for left, right in reversed(list(_doubling_levels(n))):
+        # swap-and-combine: left gets the block prefix, right gets
+        # block-prefix ⊕ left-half-sum (two dependency rounds, batched)
+        k = len(left)
+        machine.send_batch(
+            np.concatenate([right, left]),
+            np.concatenate([left, right]),
+            np.concatenate([acc[right], acc[left]]),
+            rounds=np.array([0, k, 2 * k]),
+        )
+        block_prefix = acc[right].copy()
+        left_sum = acc[left].copy()
+        acc[left] = block_prefix
+        acc[right] = op(block_prefix, left_sum)
     return acc
 
 
@@ -158,14 +147,39 @@ def inclusive_scan(machine: SpatialMachine, values: np.ndarray, *, op: Op = np.a
     return op(ex, values)
 
 
+def _barrier_plan(machine: SpatialMachine) -> RoundPlan:
+    """The all-reduce of :func:`allreduce` with root 0 as one round plan:
+    the up-sweep, the two root sends and the down-sweep (``n > 1``)."""
+    levels = list(_doubling_levels(machine.n))
+    last, root = np.array([machine.n - 1]), np.array([0])
+    rounds = [*levels, (last, root), (root, last)]
+    rounds += [(right, left) for left, right in reversed(levels)]
+    offsets = np.cumsum([0] + [len(s) for s, _ in rounds], dtype=np.int64)
+    return RoundPlan.build(
+        machine,
+        np.concatenate([s for s, _ in rounds]),
+        np.concatenate([d for _, d in rounds]),
+        offsets,
+    )
+
+
 def barrier(machine: SpatialMachine) -> None:
     """Global synchronization (paper §VI-C): an all-reduce of a token.
 
     After the barrier every processor's dependency clock is at least the
     pre-barrier maximum, so later messages from any processor are ordered
     after everything before the barrier. O(n) energy, O(log n) depth.
+
+    The token's rounds depend only on ``n``, so they are compiled once per
+    machine into its plan cache and replayed with one
+    :meth:`~repro.machine.SpatialMachine.send_plan`.
     """
-    allreduce(machine, np.zeros(machine.n, dtype=np.int64), op=np.add)
+    if machine.n > 1:
+        plan = machine.plan_cache.lookup(("barrier",))
+        if plan is None:
+            plan = machine.plan_cache[("barrier",)] = _barrier_plan(machine)
+        plan = cast(RoundPlan, plan)
+        machine.send_plan(plan.src, plan.dst, rounds=plan.rounds, dist=plan.dist)
     # the broadcast already raised every clock to the root's chain; make the
     # semantics explicit and exact:
     machine.clock[:] = machine.clock.max()

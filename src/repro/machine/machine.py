@@ -365,6 +365,28 @@ def advance_clocks_batch(
     return BatchClockAdvance(rounds=rounds, max_clock=max_clock)
 
 
+@dataclass(frozen=True)
+class RoundPlan:
+    """A cached, query-independent message plan for :meth:`SpatialMachine.send_plan`.
+
+    ``rounds`` are CSR offsets over ``src``/``dst`` (as for
+    :meth:`SpatialMachine.send_batch`); ``dist`` holds the per-message
+    distances under the building machine's metric, so a plan is only valid
+    on the machine (or an identically placed one) it was built for.
+    """
+
+    src: np.ndarray
+    dst: np.ndarray
+    rounds: np.ndarray
+    dist: np.ndarray
+
+    @classmethod
+    def build(
+        cls, machine: SpatialMachine, src: np.ndarray, dst: np.ndarray, rounds: np.ndarray
+    ) -> RoundPlan:
+        return cls(src, dst, rounds, machine.manhattan(src, dst))
+
+
 class PlanRecorderHook(Protocol):
     """What the machine needs from an attached workload-plan recorder.
 

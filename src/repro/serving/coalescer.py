@@ -189,10 +189,10 @@ class WindowedQueue:
     ``submit`` is called from many client threads; ``next_work`` from the
     single worker that owns the machine. Coalescable requests (``lca``)
     gather into windows closed by whichever comes first — ``window_s``
-    elapsing since the first request, or ``max_batch`` queries collected;
-    other ops dispatch FIFO one at a time (and take priority, so a slow
-    window build never starves them). ``window_s=0`` disables coalescing:
-    every window holds exactly one request.
+    elapsing since the oldest request was enqueued, or ``max_batch``
+    queries collected; other ops dispatch FIFO one at a time (and take
+    priority, so a slow window build never starves them). ``window_s=0``
+    disables coalescing: every window holds exactly one request.
     """
 
     def __init__(self, *, window_s: float, max_batch: int, max_queue: int) -> None:
@@ -256,22 +256,20 @@ class WindowedQueue:
                 return "misc", [self._misc.popleft()]
             window = [self._lca.popleft()]
             collected = window[0].num_queries
-            deadline = time.monotonic() + self.window_s
-            while collected < self.max_batch and not self._draining:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
+            # the window closes window_s after its oldest request *arrived*;
+            # whatever is already queued joins without waiting (a backlog
+            # lands in one window), and a drain takes the queue as it is
+            deadline = window[0].enqueued + self.window_s
+            while collected < self.max_batch and (self.window_s > 0 or self._draining):
                 if self._lca:
                     request = self._lca.popleft()
                     window.append(request)
                     collected += request.num_queries
                     continue
+                remaining = deadline - time.monotonic()
+                if remaining <= 0 or self._draining:
+                    break
                 self._cond.wait(timeout=remaining)
-            # drain flush: take whatever is already queued, no waiting
-            while self._draining and self._lca and collected < self.max_batch:
-                request = self._lca.popleft()
-                window.append(request)
-                collected += request.num_queries
             return "lca", window
 
     def drain(self) -> None:

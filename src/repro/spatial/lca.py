@@ -34,42 +34,78 @@ import numpy as np
 from repro.contracts import cost_contract
 from repro.errors import ValidationError
 from repro.machine.collectives import barrier
+from repro.machine.machine import RoundPlan
 from repro.spatial.subtree_cover import (
     SpatialCover,
     SpatialRanges,
     build_cover,
     compute_ranges,
-    range_broadcast,
+    range_broadcast_rounds,
 )
 from repro.utils import as_index_array, check_in_range
 
 
 @dataclass(frozen=True)
-class PreparedLCA:
-    """Query-independent LCA state: treefix ranges + heavy-light cover.
+class LayerSweep:
+    """One layer's query-independent sweep (§VI-C step 4).
 
-    Both are pure functions of the layout — no query touches them — so a
+    ``heads`` are the layer's cover-subtree roots (path heads with a
+    parent), sorted by position, with their position ranges ``lo``/``hi``
+    aligned; ``broadcast`` holds the Lemma 13 range-broadcast rounds over
+    those ranges with their pre-gathered distances.
+    """
+
+    heads: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    broadcast: RoundPlan
+
+
+@dataclass(frozen=True)
+class PreparedLCA:
+    """Query-independent LCA state: ranges, heavy-light cover, layer sweeps.
+
+    All are pure functions of the layout — no query touches them — so a
     long-lived caller (the serving loop) computes them once, pays the
     ``lca_ranges``/``lca_cover`` energy once, and answers every later
-    batch with only the per-layer sweeps.
+    batch by replaying the compiled per-layer sweeps.
     """
 
     ranges: SpatialRanges
     cover: SpatialCover
+    layers: tuple[LayerSweep, ...]
+
+
+def _compile_sweeps(st, ranges: SpatialRanges, cover: SpatialCover) -> tuple[LayerSweep, ...]:
+    """Group the cover subtrees by layer and precompute each layer's
+    range-broadcast rounds; local computation, charges nothing."""
+    heads = np.flatnonzero(cover.is_head & (st.tree.parents >= 0))
+    heads = heads[np.argsort(ranges.lo[heads], kind="stable")]
+    layer_of = cover.layer[heads]
+    sweeps = []
+    for layer_i in range(cover.num_layers):
+        h = heads[layer_of == layer_i]
+        lo, hi = ranges.lo[h], ranges.hi[h]
+        src, dst, offsets = range_broadcast_rounds(lo, hi - lo + 1)
+        sweeps.append(
+            LayerSweep(h, lo, hi, RoundPlan.build(st.machine, src, dst, offsets))
+        )
+    return tuple(sweeps)
 
 
 def prepare_lca(st, *, seed=None) -> PreparedLCA:
     """Precompute the reusable (query-independent) half of :func:`lca_batch`.
 
     Charges the ``lca_ranges`` and ``lca_cover`` phases on ``st``'s
-    machine exactly as a cold :func:`lca_batch` call would; pass the
-    result back via ``prepared=`` to amortize it across batches.
+    machine exactly as a cold :func:`lca_batch` call would, then compiles
+    the per-layer sweeps (no machine cost); pass the result back via
+    ``prepared=`` to amortize it across batches.
     """
     with st.machine.phase("lca_ranges"):
         ranges = compute_ranges(st, seed=seed)
     with st.machine.phase("lca_cover"):
         cover = build_cover(st, ranges, seed=seed)
-    return PreparedLCA(ranges=ranges, cover=cover)
+    return PreparedLCA(ranges=ranges, cover=cover, layers=_compile_sweeps(st, ranges, cover))
 
 
 @cost_contract(energy="lca_energy", depth="lca_depth", plan_safe=True)
@@ -80,8 +116,8 @@ def lca_batch(st, us, vs, *, seed=None, return_cover: bool = False,
     Returns the answers as vertex ids (and the :class:`SpatialCover` when
     ``return_cover`` is set, for the benchmarks' layer statistics).
     ``prepared`` reuses a :func:`prepare_lca` precomputation, skipping the
-    ranges/cover phases — the warm-serving path; omitted, the call builds
-    them itself exactly as before.
+    ranges/cover phases — the warm-serving path; omitted, the call runs
+    :func:`prepare_lca` itself first.
     """
     us = as_index_array(us, name="us")
     vs = as_index_array(vs, name="vs")
@@ -89,16 +125,11 @@ def lca_batch(st, us, vs, *, seed=None, return_cover: bool = False,
         raise ValidationError("us and vs must have the same shape")
     check_in_range(us, 0, st.n, name="us")
     check_in_range(vs, 0, st.n, name="vs")
-    q = len(us)
-    answers = np.full(q, -1, dtype=np.int64)
-
-    pos = st.layout.position
-
     if prepared is None:
-        with st.machine.phase("lca_ranges"):
-            ranges = compute_ranges(st, seed=seed)
-    else:
-        ranges = prepared.ranges
+        prepared = prepare_lca(st, seed=seed)
+    ranges = prepared.ranges
+    answers = np.full(len(us), -1, dtype=np.int64)
+    pos = st.layout.position
 
     # ---- step 1: ancestor-descendant queries are answered locally -------
     u_anc = ranges.contains(us, pos[vs])
@@ -106,39 +137,31 @@ def lca_batch(st, us, vs, *, seed=None, return_cover: bool = False,
     v_anc = ranges.contains(vs, pos[us]) & ~u_anc
     answers[v_anc] = vs[v_anc]
 
-    if prepared is None:
-        with st.machine.phase("lca_cover"):
-            cover = build_cover(st, ranges, seed=seed)
-    else:
-        cover = prepared.cover
-
     # ---- step 4: layer sweeps over the subtree cover --------------------
     open_q = np.flatnonzero(answers < 0)
     parents = st.tree.parents
-    with st.machine.phase("lca_layers"):
-        for layer_i in range(cover.num_layers):
-            heads = np.flatnonzero(
-                cover.is_head & (cover.layer == np.int64(layer_i)) & (parents >= 0)
-            )
-            if len(heads):
-                starts = ranges.lo[heads]
-                lengths = ranges.hi[heads] - ranges.lo[heads] + 1
-                range_broadcast(st, starts, lengths)
+    machine = st.machine
+    with machine.phase("lca_layers"):
+        for sweep in prepared.layers:
+            if len(sweep.heads):
+                plan = sweep.broadcast
+                if len(plan.src):
+                    machine.send_plan(
+                        plan.src, plan.dst, rounds=plan.rounds, dist=plan.dist
+                    )
                 # resolve queries with exactly one endpoint inside a head's
                 # subtree whose partner falls in r(w) \ r(x)
-                open_q = _answer_layer(
-                    st, answers, open_q, us, vs, heads, ranges, pos, parents
-                )
-            barrier(st.machine)
+                open_q = _answer_layer(answers, open_q, us, vs, sweep, ranges, pos, parents)
+            barrier(machine)
 
     if (answers < 0).any():  # pragma: no cover - Corollary 3 guarantees coverage
         raise ValidationError("internal: some queries were left unanswered")
     if return_cover:
-        return answers, cover
+        return answers, prepared.cover
     return answers
 
 
-def _answer_layer(st, answers, open_q, us, vs, heads, ranges, pos, parents) -> np.ndarray:
+def _answer_layer(answers, open_q, us, vs, sweep: LayerSweep, ranges, pos, parents) -> np.ndarray:
     """Resolve the still-open queries this layer's broadcast answers.
 
     Each head subtree is a contiguous position range, and heads of one
@@ -148,16 +171,11 @@ def _answer_layer(st, answers, open_q, us, vs, heads, ranges, pos, parents) -> n
     """
     if len(open_q) == 0:
         return open_q
-    order = np.argsort(ranges.lo[heads])
-    heads_sorted = heads[order]
-    lo_sorted = ranges.lo[heads_sorted]
-    hi_sorted = ranges.hi[heads_sorted]
 
     def head_containing(positions: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(lo_sorted, positions, side="right") - 1
-        ok = (idx >= 0) & (positions <= hi_sorted[np.clip(idx, 0, None)])
-        out = np.where(ok, heads_sorted[np.clip(idx, 0, None)], -1)
-        return out
+        idx = np.searchsorted(sweep.lo, positions, side="right") - 1
+        ok = (idx >= 0) & (positions <= sweep.hi[np.clip(idx, 0, None)])
+        return np.where(ok, sweep.heads[np.clip(idx, 0, None)], -1)
 
     for ends, partners in ((us, vs), (vs, us)):
         e = ends[open_q]

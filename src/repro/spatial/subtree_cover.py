@@ -92,39 +92,44 @@ def build_cover(st, ranges: SpatialRanges, *, seed=None) -> SpatialCover:
     )
 
 
-def _range_tree_levels(length: int) -> list[np.ndarray]:
-    """Edges of a balanced binary broadcast tree over ``range(length)``.
+def range_broadcast_rounds(
+    starts: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges of every range's balanced binary broadcast tree, as CSR rounds.
 
-    The tree is stored in preorder (light-first): a node is the first index
-    of its interval and its children are the first indices of the two
-    halves of the remainder, so every edge's index gap is at most the
+    Each tree is stored in preorder (light-first): a node is the first
+    index of its interval and its children are the first indices of the
+    two halves of the remainder, so every edge's index gap is at most the
     child's interval size and the per-level energies form the geometric
-    series of Lemma 13. Returns one ``(k, 2)`` relative-edge array per
-    level, root level first.
+    series of Lemma 13. All ranges' trees are walked level by level at
+    once; round ``r`` holds every tree's level-``r`` edges, and within it
+    each sender's left-child message precedes its right-child message (the
+    occurrence order the depth clocks charge). Returns ``(src, dst,
+    offsets)`` in absolute positions.
     """
-    levels: list[list[tuple[int, int]]] = []
-    # iterative BFS over (start, size, level) intervals
-    frontier = [(0, length)]
-    depth = 0
-    while frontier:
-        nxt: list[tuple[int, int]] = []
-        edges_here: list[tuple[int, int]] = []
-        for start, size in frontier:
-            rest = size - 1
-            if rest <= 0:
-                continue
-            left = (rest + 1) // 2
-            right = rest - left
-            edges_here.append((start, start + 1))
-            nxt.append((start + 1, left))
-            if right > 0:
-                edges_here.append((start, start + 1 + left))
-                nxt.append((start + 1 + left, right))
-        if edges_here:
-            levels.append(edges_here)
-        frontier = nxt
-        depth += 1
-    return [np.array(e, dtype=np.int64).reshape(-1, 2) for e in levels]
+    start = np.asarray(starts, dtype=np.int64)
+    size = np.asarray(lengths, dtype=np.int64)
+    src_levels: list[np.ndarray] = []
+    dst_levels: list[np.ndarray] = []
+    while True:
+        inner = size > 1
+        start, size = start[inner], size[inner]
+        if not len(start):
+            break
+        left = size // 2  # ceil((size - 1) / 2)
+        right = size - 1 - left
+        # one (left, right) slot pair per sender; empty right halves dropped
+        child = np.stack([start + 1, start + 1 + left], axis=1).ravel()
+        child_size = np.stack([left, right], axis=1).ravel()
+        real = child_size > 0
+        src_levels.append(np.repeat(start, 2)[real])
+        dst_levels.append(child[real])
+        start, size = child[real], child_size[real]
+    offsets = np.cumsum([0] + [len(s) for s in src_levels], dtype=np.int64)
+    if not src_levels:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, offsets
+    return np.concatenate(src_levels), np.concatenate(dst_levels), offsets
 
 
 def range_broadcast(st, starts: np.ndarray, lengths: np.ndarray) -> None:
@@ -133,48 +138,9 @@ def range_broadcast(st, starts: np.ndarray, lengths: np.ndarray) -> None:
     ``starts[i]``/``lengths[i]`` give range ``[starts[i], starts[i] +
     lengths[i])``; the payload is whatever the caller tracks — the machine
     charges one word per tree edge. Ranges are processed concurrently; the
-    message rounds are the union of each range's broadcast-tree levels.
+    message rounds are the union of each range's broadcast-tree levels
+    (:func:`range_broadcast_rounds`), charged in one engine batch.
     """
-    if len(starts) == 0:
-        return
-    machine = st.machine
-    max_len = int(lengths.max())
-    if max_len <= 1:
-        return
-    # group ranges by identical length to reuse the relative edge lists
-    by_len: dict[int, np.ndarray] = {}
-    for L in np.unique(lengths):
-        L = int(L)
-        if L > 1:
-            by_len[L] = np.asarray(starts)[lengths == L]
-    # precompute levels per distinct length
-    levels_for = {L: _range_tree_levels(L) for L in by_len}
-    num_rounds = max(len(v) for v in levels_for.values())
-    # assemble the union of all ranges' level-r edges as CSR dependency
-    # rounds and charge the whole broadcast forest in one engine batch
-    chunks: list[np.ndarray] = []
-    sizes: list[int] = []
-    for r in range(num_rounds):
-        src_all = []
-        dst_all = []
-        for L, base in by_len.items():
-            levels = levels_for[L]
-            if r >= len(levels):
-                continue
-            edges = levels[r]
-            # offset the relative edges by every range start of this length
-            src = (base[:, None] + edges[None, :, 0]).ravel()
-            dst = (base[:, None] + edges[None, :, 1]).ravel()
-            src_all.append(src)
-            dst_all.append(dst)
-        if src_all:
-            chunks.append(np.concatenate(src_all))
-            chunks.append(np.concatenate(dst_all))
-            sizes.append(len(chunks[-1]))
-    if sizes:
-        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-        machine.send_batch(
-            np.concatenate(chunks[0::2]),
-            np.concatenate(chunks[1::2]),
-            rounds=offsets,
-        )
+    src, dst, offsets = range_broadcast_rounds(starts, lengths)
+    if len(src):
+        st.machine.send_batch(src, dst, rounds=offsets)

@@ -404,6 +404,21 @@ def _uncontract(st, s: _TreefixState, op: Op, identity, direction: str, max_roun
     return rounds
 
 
+def _check_int64_sums(n: int, values: np.ndarray) -> None:
+    """Integer sums run in int64: reject inputs whose sums could wrap.
+
+    Every treefix sum (subtree or root path) adds at most ``n`` values, so
+    ``n * max|v| < 2**63`` rules out overflow. Computed in Python ints, so
+    neither ``abs(int64 min)`` nor a large unsigned input can wrap first.
+    """
+    peak = max(int(values.max()), -int(values.min()))
+    if n * peak >= 2**63:
+        raise ValidationError(
+            f"integer treefix sums may overflow int64: n={n} values with "
+            f"max |v| = {peak} (n * max|v| must stay below 2**63)"
+        )
+
+
 def _run(st, values, op, identity, direction, seed, max_rounds, coin_bias, sync_barriers):
     values = np.asarray(values)
     if values.shape != (st.n,):
@@ -421,6 +436,8 @@ def _run(st, values, op, identity, direction, seed, max_rounds, coin_bias, sync_
     if np.issubdtype(values.dtype, np.floating):
         payload = values.astype(np.float64)
     elif np.issubdtype(values.dtype, np.integer) or values.dtype == bool:
+        if op is np.add:
+            _check_int64_sums(st.n, values)
         payload = values.astype(np.int64)
     else:
         raise ValidationError(f"treefix supports integer/float values, got {values.dtype}")

@@ -73,18 +73,23 @@ def offline_tarjan_lca(tree: Tree, queries) -> np.ndarray:
 
     Single DFS with a union–find; answers all queries in near-linear time.
     """
-    queries = np.asarray(list(queries), dtype=np.int64).reshape(-1, 2)
+    if not isinstance(queries, np.ndarray):
+        queries = list(queries)
+    queries = np.asarray(queries, dtype=np.int64).reshape(-1, 2)
     if queries.size:
         check_in_range(queries.ravel(), 0, tree.n, name="queries")
     n = tree.n
     q = len(queries)
     answers = np.full(q, -1, dtype=np.int64)
 
-    # per-vertex query adjacency
-    pending: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for qi, (u, v) in enumerate(queries):
-        pending[int(u)].append((int(v), qi))
-        pending[int(v)].append((int(u), qi))
+    # per-vertex query adjacency as CSR arrays, ~48 bytes per query: slot j
+    # of the flattened queries is query j // 2 at endpoint j % 2, and its
+    # partner sits in slot j ^ 1
+    ends = queries.ravel()
+    slots = np.argsort(ends, kind="stable")
+    pending_offsets = np.concatenate([[0], np.cumsum(np.bincount(ends, minlength=n))])
+    pending_other = ends[slots ^ 1]
+    pending_query = slots >> 1
 
     parent_dsu = np.arange(n, dtype=np.int64)
 
@@ -112,7 +117,8 @@ def offline_tarjan_lca(tree: Tree, queries) -> np.ndarray:
             continue
         stack.pop()
         visited[v] = True
-        for other, qi in pending[v]:
+        a, b = pending_offsets[v], pending_offsets[v + 1]
+        for other, qi in zip(pending_other[a:b].tolist(), pending_query[a:b].tolist()):
             if visited[other]:
                 answers[qi] = ancestor[find(other)]
         if stack:

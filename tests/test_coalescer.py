@@ -141,13 +141,51 @@ class TestWindowedQueue:
         assert kind == "lca" and len(window) == 1
 
     def test_max_batch_closes_window_early(self):
-        q = WindowedQueue(window_s=10.0, max_batch=2, max_queue=10)
+        q = WindowedQueue(window_s=0.2, max_batch=2, max_queue=10)
         for _ in range(3):
             q.submit(lca_req((1, 2)))
         kind, window = q.next_work()
         assert len(window) == 2  # third stays queued for the next window
         kind, window = q.next_work()
         assert len(window) == 1
+
+    def test_deadline_anchored_at_arrival(self):
+        # the oldest request arrived 0.3 s ago and window_s=0.2: the window
+        # is already due, so it closes at once instead of 0.2 s from now
+        q = WindowedQueue(window_s=0.2, max_batch=100, max_queue=10)
+        q.submit(lca_req((1, 2)))
+        q._lca[0].enqueued -= 0.3
+        t0 = time.monotonic()
+        kind, window = q.next_work()
+        assert kind == "lca" and len(window) == 1
+        assert time.monotonic() - t0 < 0.1
+
+    def test_overdue_backlog_lands_in_one_window(self):
+        q = WindowedQueue(window_s=0.2, max_batch=100, max_queue=10)
+        for i in range(5):
+            q.submit(lca_req((i, i + 1)))
+        for request in q._lca:
+            request.enqueued -= 0.3
+        t0 = time.monotonic()
+        kind, window = q.next_work()
+        assert len(window) == 5
+        assert time.monotonic() - t0 < 0.1
+
+    def test_waits_for_arrivals_until_oldest_deadline(self):
+        # the oldest request arrived 0.1 s ago: the window waits only the
+        # 0.2 s remaining of its 0.3 s window, and a request arriving
+        # meanwhile joins it
+        q = WindowedQueue(window_s=0.3, max_batch=100, max_queue=10)
+        q.submit(lca_req((1, 2)))
+        q._lca[0].enqueued -= 0.1
+        late = threading.Timer(0.05, q.submit, args=(lca_req((3, 4)),))
+        t0 = time.monotonic()
+        late.start()
+        kind, window = q.next_work()
+        waited = time.monotonic() - t0
+        late.join()
+        assert len(window) == 2
+        assert 0.15 <= waited < 0.28
 
     def test_misc_requests_take_priority_and_run_solo(self):
         q = WindowedQueue(window_s=0.05, max_batch=100, max_queue=10)

@@ -84,6 +84,31 @@ class TestCollectiveCosts:
         barrier(m)
         assert (m.clock == m.clock[0]).all()
 
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 17, 64, 100, 256, 257])
+    def test_barrier_plan_matches_allreduce(self, engine, n):
+        """The cached barrier plan replays exactly the all-reduce it
+        compiles: totals, steps and every clock, from uneven clocks."""
+        machines = []
+        for cached in (True, False):
+            m = SpatialMachine(n, engine=engine)
+            if n > 2:
+                m.send(np.array([0, 1, 1]), np.array([n - 1, 2, n - 1]))
+            for _ in range(2):
+                if cached:
+                    barrier(m)
+                else:
+                    allreduce(m, np.zeros(n, dtype=np.int64))
+                    m.clock[:] = m.clock.max()
+                m.send(np.array([n // 2]), np.array([0]))
+            machines.append(m)
+        a, b = machines
+        assert a.snapshot() == b.snapshot() and a.steps == b.steps
+        assert np.array_equal(a.clock, b.clock)
+        if n > 1:
+            assert a.plan_cache.misses == {"barrier": 1}
+            assert a.plan_cache.hits == {"barrier": 1}
+
     def test_input_shape_checked(self):
         m = SpatialMachine(8)
         with pytest.raises(ValidationError):

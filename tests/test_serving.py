@@ -292,6 +292,14 @@ class TestServingServer:
         status, _ = post(server.url, "/lca", {"us": [0]})
         assert status == 400
 
+    def test_overflowing_treefix_maps_to_400(self, server):
+        # N values of 2^62 would wrap int64 subtree sums: typed 400, not a
+        # 200 carrying wrong sums, and the worker keeps serving
+        status, body = post(server.url, "/treefix", {"values": [2**62] * N})
+        assert status == 400 and "overflow" in body["error"]
+        status, body = post(server.url, "/treefix", {"values": [1] * N})
+        assert status == 200 and max(body["sums"]) == N
+
     def test_unknown_post_route_404(self, server):
         status, body = post(server.url, "/frobnicate", {})
         assert status == 404 and "/lca" in body["endpoints"]

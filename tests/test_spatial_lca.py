@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ValidationError
-from repro.machine import SpatialMachine
-from repro.spatial import SpatialTree, build_cover, compute_ranges, lca_batch
-from repro.spatial.subtree_cover import _range_tree_levels, range_broadcast
+from repro.machine import SpatialMachine, allreduce
+from repro.spatial import SpatialTree, build_cover, compute_ranges, lca_batch, prepare_lca
+from repro.spatial.subtree_cover import range_broadcast, range_broadcast_rounds
 from repro.trees import (
     BinaryLiftingLCA,
     heavy_light_decomposition,
@@ -68,10 +68,19 @@ class TestSpatialCover:
         assert cover.num_layers <= np.ceil(np.log2(max(2, zoo_tree.n))) + 1
 
 
+def _levels(length: int) -> list[np.ndarray]:
+    """One range's broadcast-tree rounds as ``(k, 2)`` edge arrays."""
+    src, dst, offsets = range_broadcast_rounds(np.array([0]), np.array([length]))
+    return [
+        np.stack([src[a:b], dst[a:b]], axis=1)
+        for a, b in zip(offsets[:-1], offsets[1:])
+    ]
+
+
 class TestRangeBroadcastTree:
     @pytest.mark.parametrize("length", [1, 2, 3, 5, 8, 17, 100])
     def test_covers_every_index(self, length):
-        levels = _range_tree_levels(length)
+        levels = _levels(length)
         reached = {0}
         for edges in levels:
             for a, b in edges:
@@ -80,13 +89,34 @@ class TestRangeBroadcastTree:
         assert reached == set(range(length))
 
     def test_depth_logarithmic(self):
-        assert len(_range_tree_levels(1024)) <= 11
+        assert len(_levels(1024)) <= 11
 
     def test_edge_gaps_geometric(self):
         # each edge jumps at most the child interval size
-        for edges in _range_tree_levels(64):
+        for edges in _levels(64):
             for a, b in edges:
                 assert b - a <= 33
+
+    def test_left_child_message_first(self):
+        # the clock kernels charge a sender's second message one step later,
+        # so the larger (left) half must be sent to first
+        for edges in _levels(100):
+            for (a, b), (c, d) in zip(edges[:-1], edges[1:]):
+                if a == c:
+                    assert b < d
+
+    def test_matches_per_range_trees(self):
+        # several ranges at once are the union of their trees, round by round
+        starts, lengths = np.array([0, 10, 13, 40]), np.array([10, 3, 27, 1])
+        src, dst, offsets = range_broadcast_rounds(starts, lengths)
+        for r in range(len(offsets) - 1):
+            got = set(zip(src[offsets[r]:offsets[r + 1]], dst[offsets[r]:offsets[r + 1]]))
+            want = set()
+            for s0, length in zip(starts, lengths):
+                levels = _levels(int(length))
+                if r < len(levels):
+                    want |= {(int(a) + s0, int(b) + s0) for a, b in levels[r]}
+            assert got == want
 
     def test_range_broadcast_costs(self):
         m = SpatialMachine(256)
@@ -180,6 +210,114 @@ class TestLCABatch:
         rng = np.random.default_rng(0)
         lca_batch(st_, rng.permutation(n), rng.permutation(n), seed=13)
         assert st_.machine.depth <= 16 * np.log2(n) ** 2
+
+
+def _reference_layer_sweep(st_, cover, ranges):
+    """The §VI-C layer sweep built independently of the compiled plans:
+    each cover subtree's preorder broadcast tree by a per-range BFS, sent
+    with ``send_batch``, and the barrier as a plain all-reduce."""
+    m = st_.machine
+    with m.phase("lca_layers"):
+        for layer_i in range(cover.num_layers):
+            heads = np.flatnonzero(
+                cover.is_head & (cover.layer == layer_i) & (st_.tree.parents >= 0)
+            )
+            rounds: list[list[tuple[int, int]]] = []
+            for h in heads:
+                frontier = [(int(ranges.lo[h]), int(ranges.hi[h] - ranges.lo[h] + 1))]
+                depth = 0
+                while frontier:
+                    nxt = []
+                    for start, size in frontier:
+                        left = size // 2
+                        right = size - 1 - left
+                        if left:
+                            if len(rounds) <= depth:
+                                rounds.append([])
+                            rounds[depth].append((start, start + 1))
+                            nxt.append((start + 1, left))
+                        if right:
+                            rounds[depth].append((start, start + 1 + left))
+                            nxt.append((start + 1 + left, right))
+                    frontier = nxt
+                    depth += 1
+            if rounds:
+                edges = np.array([e for r in rounds for e in r], dtype=np.int64)
+                offsets = np.cumsum([0] + [len(r) for r in rounds])
+                m.send_batch(edges[:, 0], edges[:, 1], rounds=offsets)
+            allreduce(m, np.zeros(m.n, dtype=np.int64))
+            m.clock[:] = m.clock.max()
+
+
+class TestCompiledSweep:
+    """The compiled layer sweep against an independent reference, from
+    uneven clocks: a treefix first leaves the processors' clocks apart, so
+    the message order inside each round shows in depth and clocks."""
+
+    @staticmethod
+    def _uneven(tree, engine):
+        st_ = SpatialTree.build(tree, engine=engine)
+        st_.treefix_sum(np.arange(tree.n), seed=3)
+        assert len(np.unique(st_.machine.clock)) > 1
+        return st_
+
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    @pytest.mark.parametrize("n,seed", [(300, 1), (517, 2), (1024, 3)])
+    def test_matches_reference_from_uneven_clocks(self, engine, n, seed):
+        tree = random_attachment_tree(n, seed=seed)
+        rng = np.random.default_rng(seed)
+        us, vs = rng.integers(0, n, size=200), rng.integers(0, n, size=200)
+        machines, answers = {}, {}
+        for how in ("cold", "prepared", "reference"):
+            st_ = self._uneven(tree, engine)
+            if how == "cold":
+                answers[how] = lca_batch(st_, us, vs, seed=seed)
+            elif how == "prepared":
+                prepared = prepare_lca(st_, seed=seed)
+                answers[how] = lca_batch(st_, us, vs, seed=seed, prepared=prepared)
+            else:
+                prepared = prepare_lca(st_, seed=seed)
+                _reference_layer_sweep(st_, prepared.cover, prepared.ranges)
+            machines[how] = st_.machine
+        oracle = BinaryLiftingLCA(tree).query_batch(us, vs)
+        assert np.array_equal(answers["cold"], oracle)
+        assert np.array_equal(answers["prepared"], oracle)
+        ref = machines["reference"]
+        for how in ("cold", "prepared"):
+            m = machines[how]
+            assert m.snapshot() == ref.snapshot()
+            assert m.steps == ref.steps
+            assert np.array_equal(m.clock, ref.clock)
+            assert m.ledger.summary() == ref.ledger.summary()
+
+    def test_engines_agree_on_every_clock(self):
+        tree = prufer_random_tree(700, seed=4)
+        rng = np.random.default_rng(4)
+        us, vs = rng.integers(0, 700, size=300), rng.integers(0, 700, size=300)
+        runs = {}
+        for engine in ("scalar", "batched"):
+            st_ = self._uneven(tree, engine)
+            prepared = prepare_lca(st_, seed=4)
+            for _ in range(2):  # a second window replays the cached plans
+                got = lca_batch(st_, us, vs, seed=4, prepared=prepared)
+            runs[engine] = (got, st_.machine)
+        (a_s, m_s), (a_b, m_b) = runs["scalar"], runs["batched"]
+        assert np.array_equal(a_s, a_b)
+        assert m_s.snapshot() == m_b.snapshot() and m_s.steps == m_b.steps
+        assert np.array_equal(m_s.clock, m_b.clock)
+        assert m_b.plan_cache.hits.get("barrier", 0) > 0
+
+    def test_sweep_retains_little_memory(self):
+        st_ = SpatialTree.build(random_attachment_tree(4096, seed=5), engine="batched")
+        prepared = prepare_lca(st_, seed=5)
+        assert len(prepared.layers) == prepared.cover.num_layers
+        retained = sum(
+            a.nbytes
+            for s in prepared.layers
+            for a in (s.heads, s.lo, s.hi, s.broadcast.src, s.broadcast.dst,
+                      s.broadcast.rounds, s.broadcast.dist)
+        )
+        assert retained <= 1 << 20
 
 
 @settings(max_examples=15, deadline=None)

@@ -219,3 +219,68 @@ def test_property_top_down_plus_bottom_up_identity(n, seed):
             if t.is_ancestor(int(v), u) or t.is_ancestor(u, int(v))
         )
         assert combined[v] == manual
+
+
+class TestInt64Overflow:
+    """Integer sums that could wrap int64 are a typed error (§V assumes
+    exact arithmetic), never a silently wrong answer."""
+
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    @pytest.mark.parametrize("fn", [treefix_sum, top_down_treefix])
+    def test_binary_tree_of_huge_values_rejected(self, engine, fn):
+        t = random_binary_tree(64, seed=3)
+        st_ = SpatialTree.build(t, engine=engine)
+        with pytest.raises(ValidationError, match="overflow"):
+            fn(st_, np.full(64, 2**62, dtype=np.int64), seed=1)
+        assert st_.machine.energy == 0  # rejected before any message
+
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    def test_bound_is_exact(self, engine):
+        n = 8
+        t = path_tree(n)
+        peak = (2**63 - 1) // n  # n * peak < 2**63: the root's sum fits
+        got = treefix_sum(SpatialTree.build(t, engine=engine), np.full(n, peak), seed=2)
+        assert int(got[0]) == n * peak
+        with pytest.raises(ValidationError):
+            treefix_sum(SpatialTree.build(t, engine=engine), np.full(n, peak + 1), seed=2)
+
+    def test_int64_min_does_not_wrap_the_bound(self):
+        vals = np.zeros(4, dtype=np.int64)
+        vals[2] = np.iinfo(np.int64).min
+        with pytest.raises(ValidationError):
+            treefix_sum(SpatialTree.build(path_tree(4)), vals, seed=0)
+
+    def test_other_ops_unchecked(self):
+        vals = np.full(16, 2**62, dtype=np.int64)
+        got = treefix_sum(SpatialTree.build(path_tree(16)), vals, op=np.maximum, seed=0)
+        assert (got == 2**62).all()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=64),
+    seed=st.integers(0, 2**16),
+    bits=st.integers(min_value=54, max_value=63),
+    pin_min=st.booleans(),
+    top_down=st.booleans(),
+)
+def test_property_extreme_magnitudes(n, seed, bits, pin_min, top_down):
+    """Exact sums while n * max|v| < 2**63, ValidationError otherwise, on
+    both engines."""
+    t = random_attachment_tree(n, seed=seed)
+    rng = np.random.default_rng(seed)
+    vals = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                        size=n, dtype=np.int64, endpoint=True) >> (63 - bits)
+    if pin_min:
+        vals[rng.integers(n)] = np.iinfo(np.int64).min
+    ref, fn = (ref_top_down, top_down_treefix) if top_down else (ref_bottom_up, treefix_sum)
+    exact = ref(t, vals.astype(object))
+    fits = n * max(abs(int(v)) for v in vals) < 2**63
+    for engine in ("scalar", "batched"):
+        st_ = SpatialTree.build(t, engine=engine)
+        if fits:
+            got = fn(st_, vals, seed=seed)
+            assert [int(x) for x in got] == [int(x) for x in exact]
+        else:
+            with pytest.raises(ValidationError):
+                fn(st_, vals, seed=seed)

@@ -152,6 +152,10 @@ class TestLCAReferences:
         expect = oracle.query_batch(qs[:, 0], qs[:, 1])
         got = offline_tarjan_lca(zoo_tree, qs)
         assert np.array_equal(got, expect)
+        # any iterable of pairs, self-queries and repeats included
+        pairs = [(int(u), int(v)) for u, v in qs] + [(3 % zoo_tree.n,) * 2] * 2
+        got = offline_tarjan_lca(zoo_tree, iter(pairs))
+        assert np.array_equal(got[:50], expect) and list(got[50:]) == [3 % zoo_tree.n] * 2
 
     def test_lca_identities(self, zoo_tree):
         oracle = BinaryLiftingLCA(zoo_tree)
