@@ -1,4 +1,4 @@
-"""Whole-workload plan recording (``repro.workload-plan/v1``).
+"""Whole-workload plan recording (``repro.workload-plan/v2``).
 
 The paper's workloads are structurally fixed once ``(workload, n, curve,
 tree-shape class)`` is fixed: treefix, layout creation, batched LCA and the
@@ -25,6 +25,12 @@ the :class:`~repro.machine.instrumentation.StepEvent` stream: events are
 skipped on the batched engine's ledger-only fast path and do not carry the
 ``exclusive``/``src_occ``/``paired`` plan flags, both of which recording
 must preserve bit-for-bit.
+
+A plan's arrays are immutable once recorded: :mod:`repro.plans.store`
+persists them as raw 64-byte-aligned columns and a load hands every
+:class:`StepOp` back as read-only views into one payload buffer, so
+nothing downstream of replay may write into ``src``/``dst``/``dist``/
+``rounds``/``occ``. Results are the exception — a load copies them out.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import numpy as np
 from repro.errors import MachineStateError, ValidationError
 from repro.machine.machine import SpatialMachine
 
-PLAN_SCHEMA = "repro.workload-plan/v1"
+PLAN_SCHEMA = "repro.workload-plan/v2"
 
 #: step-flag bits (serialized into the artifact's ``step_flags`` column)
 FLAG_EXCLUSIVE = 1

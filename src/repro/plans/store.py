@@ -1,11 +1,18 @@
 """Persistent, integrity-checked storage for workload plans.
 
-Artifact container (``*.plan``)::
+Artifact container (``*.plan``, schema ``repro.workload-plan/v2``)::
 
     REPROPLAN1\\n                      ← magic
     {"schema": ..., "key": [...],     ← one JSON header line
      "sha256": ..., "nbytes": ...}\\n
-    <npz payload, exactly nbytes>     ← numpy savez of the encoded plan
+    <payload, exactly nbytes>
+
+    payload = <u64 LE table length L>
+              <JSON table, L bytes>   ← {"meta": {...}, "arrays":
+                                          {name: [dtype, shape, offset]}}
+              <zero pad to 64>
+              <data region>           ← each array at a 64-byte-aligned
+                                        offset from the region's start
 
 The header is readable without touching the (potentially large) payload,
 so listing a store is cheap. The payload hash makes truncation and
@@ -16,6 +23,13 @@ load reject an artifact that was renamed onto the wrong slot
 (:class:`~repro.errors.PlanKeyError`). Writes go through a temp file +
 ``os.replace`` so concurrent recorders can never expose a half-written
 artifact.
+
+Loading costs one read and one hash: the payload is read into a single
+64-byte-aligned buffer, hashed in place, frozen read-only, and the step
+arrays are decoded as views into it (results are copied out, so a caller
+keeping only an answer array does not pin the payload). Table dtypes come
+from a numeric/bool whitelist and every entry is bounds-checked, so even
+a payload whose hash matches can only ever decode to plain arrays.
 
 :class:`PlanStore` fronts a directory of such artifacts with an LRU
 in-memory layer (:class:`LRUPlanCache`) that extends the machine's
@@ -28,12 +42,13 @@ hit/miss bookkeeping, plus evictions — published as
 from __future__ import annotations
 
 import hashlib
-import io
 import json
+import math
 import os
+import struct
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 import numpy as np
 
@@ -61,6 +76,14 @@ from repro.plans.recorder import (
 
 MAGIC = b"REPROPLAN1\n"
 
+#: payload arrays start on this boundary, and loads read into a buffer
+#: aligned the same way, so decoded arrays are cache-line aligned
+ALIGN = 64
+#: the dtypes a payload may declare: bools and plain numbers, never objects
+_DTYPES = frozenset(np.dtype(c).str for c in "?bBhHiIqQefd")
+#: a header line is a few hundred bytes; anything this long is not one
+_MAX_HEADER = 1 << 16
+
 #: ops_kind codes in the serialized op stream
 _K_PHASE_ENTER = 0
 _K_PHASE_EXIT = 1
@@ -68,18 +91,33 @@ _K_STEP = 2
 _K_PLANREF = 3
 _K_EPOCH = 4
 
+#: the op-stream columns every payload carries, with their decoded dtypes
+_COLUMNS = {
+    "ops_kind": np.int8,
+    "ops_arg": np.int64,
+    "step_src": np.int64,
+    "step_dst": np.int64,
+    "step_dist": np.int64,
+    "step_offsets": np.int64,
+    "step_rounds": np.int64,
+    "step_rounds_offsets": np.int64,
+    "step_occ": np.int64,
+    "step_occ_offsets": np.int64,
+    "step_flags": np.int8,
+}
+
 
 # --------------------------------------------------------------------------- #
-# plan <-> npz encoding
+# plan <-> named arrays
 # --------------------------------------------------------------------------- #
 
 
-def _encode_plan(plan: WorkloadPlan) -> dict[str, np.ndarray]:
-    """Flatten a plan into named arrays suitable for ``np.savez``.
+def _encode_plan(plan: WorkloadPlan) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
+    """Flatten a plan into a JSON-able meta dict and named arrays.
 
     Variable-length per-step arrays are concatenated with CSR-style offset
     tables; everything non-array (phase names, epochs, plan refs, scalars)
-    rides in one JSON blob stored as a ``uint8`` array.
+    rides in the meta dict.
     """
     ops_kind: list[int] = []
     ops_arg: list[int] = []
@@ -179,31 +217,51 @@ def _encode_plan(plan: WorkloadPlan) -> dict[str, np.ndarray]:
         "result_names": [name for name, _ in sorted(plan.results.items())],
         "result_scalars": plan.result_scalars,
     }
-    arrays["meta"] = np.frombuffer(
-        json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8
+    return meta, arrays
+
+
+def _csr_offsets(values: np.ndarray, offsets: np.ndarray, steps: int, name: str) -> list[int]:
+    """``offsets`` as a list, checked to partition ``values`` into ``steps``
+    slices (a slice past the end would silently come back short)."""
+    bounds = offsets.tolist()
+    if (
+        len(bounds) != steps + 1
+        or bounds[0] != 0
+        or bounds[-1] != len(values)
+        or np.any(np.diff(offsets) < 0)
+    ):
+        raise PlanIntegrityError(f"plan payload {name} offsets do not partition the column")
+    return bounds
+
+
+def _decode_plan(meta: dict[str, Any], arrays: dict[str, np.ndarray]) -> WorkloadPlan:
+    """Inverse of :func:`_encode_plan`; raises on structural nonsense.
+
+    Step arrays stay views into ``arrays`` (read-only when those are);
+    results are copied so they outlive the payload on their own.
+    """
+    for name, dtype in _COLUMNS.items():
+        if name not in arrays:
+            raise PlanIntegrityError(f"plan payload is missing array {name!r}")
+        col = arrays[name]
+        if col.dtype != dtype or col.ndim != 1:
+            raise PlanIntegrityError(
+                f"plan payload array {name!r} is {col.dtype}{list(col.shape)}, "
+                f"expected a {np.dtype(dtype)} vector"
+            )
+    step_src = arrays["step_src"]
+    step_dst = arrays["step_dst"]
+    step_dist = arrays["step_dist"]
+    step_rounds = arrays["step_rounds"]
+    step_occ = arrays["step_occ"]
+    flags = arrays["step_flags"].tolist()
+    if not len(step_src) == len(step_dst) == len(step_dist):
+        raise PlanIntegrityError("plan payload step_src/dst/dist lengths disagree")
+    offs = _csr_offsets(step_src, arrays["step_offsets"], len(flags), "step")
+    roffs = _csr_offsets(
+        step_rounds, arrays["step_rounds_offsets"], len(flags), "step_rounds"
     )
-    return arrays
-
-
-def _decode_plan(arrays: Any) -> WorkloadPlan:
-    """Inverse of :func:`_encode_plan`; raises on structural nonsense."""
-    try:
-        meta = json.loads(bytes(np.asarray(arrays["meta"], dtype=np.uint8)).decode())
-        ops_kind = np.asarray(arrays["ops_kind"])
-        ops_arg = np.asarray(arrays["ops_arg"])
-        step_src = np.asarray(arrays["step_src"])
-        step_dst = np.asarray(arrays["step_dst"])
-        step_dist = np.asarray(arrays["step_dist"])
-        step_offsets = np.asarray(arrays["step_offsets"])
-        step_rounds = np.asarray(arrays["step_rounds"])
-        step_rounds_offsets = np.asarray(arrays["step_rounds_offsets"])
-        step_occ = np.asarray(arrays["step_occ"])
-        step_occ_offsets = np.asarray(arrays["step_occ_offsets"])
-        step_flags = np.asarray(arrays["step_flags"])
-    except KeyError as exc:
-        raise PlanIntegrityError(f"plan payload is missing array {exc}") from exc
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise PlanIntegrityError(f"plan payload metadata is corrupt: {exc}") from exc
+    ooffs = _csr_offsets(step_occ, arrays["step_occ_offsets"], len(flags), "step_occ")
 
     phase_names = meta["phase_names"]
     combiners = meta["combiners"]
@@ -211,31 +269,29 @@ def _decode_plan(arrays: Any) -> WorkloadPlan:
     planrefs = meta["planrefs"]
 
     ops: list[PlanOp] = []
-    step_idx = 0
     try:
-        for kind, arg in zip(ops_kind.tolist(), ops_arg.tolist()):
+        for kind, arg in zip(arrays["ops_kind"].tolist(), arrays["ops_arg"].tolist()):
             if kind == _K_PHASE_ENTER:
                 ops.append(PhaseEnterOp(phase_names[arg]))
             elif kind == _K_PHASE_EXIT:
                 ops.append(PhaseExitOp(phase_names[arg]))
             elif kind == _K_STEP:
-                a, b = int(step_offsets[arg]), int(step_offsets[arg + 1])
-                ra, rb = int(step_rounds_offsets[arg]), int(step_rounds_offsets[arg + 1])
-                oa, ob = int(step_occ_offsets[arg]), int(step_occ_offsets[arg + 1])
-                flags = int(step_flags[arg])
+                a, b = offs[arg], offs[arg + 1]
+                f = flags[arg]
                 ops.append(
                     StepOp(
                         src=step_src[a:b],
                         dst=step_dst[a:b],
-                        rounds=step_rounds[ra:rb],
+                        rounds=step_rounds[roffs[arg] : roffs[arg + 1]],
                         dist=step_dist[a:b],
-                        occ=step_occ[oa:ob] if flags & FLAG_HAS_OCC else None,
-                        exclusive=bool(flags & FLAG_EXCLUSIVE),
-                        paired=bool(flags & FLAG_PAIRED),
+                        occ=step_occ[ooffs[arg] : ooffs[arg + 1]]
+                        if f & FLAG_HAS_OCC
+                        else None,
+                        exclusive=bool(f & FLAG_EXCLUSIVE),
+                        paired=bool(f & FLAG_PAIRED),
                         combiner=combiners[arg],
                     )
                 )
-                step_idx += 1
             elif kind == _K_PLANREF:
                 pr = planrefs[arg]
                 ops.append(
@@ -263,7 +319,7 @@ def _decode_plan(arrays: Any) -> WorkloadPlan:
         raise PlanIntegrityError(f"plan op stream is inconsistent: {exc}") from exc
 
     results = {
-        name: np.asarray(arrays[f"result_{i}"])
+        name: np.array(arrays[f"result_{i}"], copy=True)
         for i, name in enumerate(meta["result_names"])
     }
     return WorkloadPlan(
@@ -288,21 +344,120 @@ def _decode_plan(arrays: Any) -> WorkloadPlan:
 
 
 # --------------------------------------------------------------------------- #
-# file container
+# payload container
 # --------------------------------------------------------------------------- #
+
+
+def _aligned(nbytes: int) -> int:
+    return -(-nbytes // ALIGN) * ALIGN
+
+
+def _pack(meta: dict[str, Any], arrays: dict[str, np.ndarray]) -> list[Any]:
+    """The payload as a list of buffers to hash and write in order: the
+    table (padded to :data:`ALIGN`), then each array's raw bytes + pad.
+    No array is copied unless it is not C-contiguous already."""
+    table: dict[str, list[Any]] = {}
+    raws: list[np.ndarray] = []
+    offset = 0
+    for name, arr in arrays.items():
+        arr = np.asarray(arr, order="C")
+        if arr.dtype.str not in _DTYPES:
+            raise PlanStoreError(f"cannot store plan array {name!r} of dtype {arr.dtype}")
+        table[name] = [arr.dtype.str, list(arr.shape), offset]
+        raws.append(arr.reshape(-1).view(np.uint8))
+        offset = _aligned(offset + arr.nbytes)
+    blob = json.dumps({"meta": meta, "arrays": table}, sort_keys=True).encode()
+    head = struct.pack("<Q", len(blob)) + blob
+    chunks: list[Any] = [head + bytes(_aligned(len(head)) - len(head))]
+    for raw in raws:
+        chunks.append(raw)
+        if raw.nbytes % ALIGN:
+            chunks.append(bytes(_aligned(raw.nbytes) - raw.nbytes))
+    return chunks
+
+
+def _unpack(buf: np.ndarray) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
+    """Parse a payload buffer into (meta, arrays); arrays are views of
+    ``buf``. Every table entry is checked against the dtype whitelist and
+    the buffer bounds before it is viewed."""
+    nbytes = len(buf)
+    if nbytes < 8:
+        raise PlanIntegrityError("payload is too short to hold its array table")
+    (tlen,) = struct.unpack("<Q", buf[:8].tobytes())
+    start = _aligned(8 + tlen)
+    if start > nbytes:
+        raise PlanIntegrityError(f"array table of {tlen} bytes overruns the payload")
+    table = json.loads(buf[8 : 8 + tlen].tobytes())
+    arrays: dict[str, np.ndarray] = {}
+    for name, (dtype, shape, offset) in table["arrays"].items():
+        if dtype not in _DTYPES:
+            raise PlanIntegrityError(f"payload array {name!r} has disallowed dtype {dtype!r}")
+        dims = [*shape, offset]
+        if not all(type(d) is int and d >= 0 for d in dims) or offset % ALIGN:
+            raise PlanIntegrityError(
+                f"payload array {name!r} has a malformed entry {[dtype, shape, offset]}"
+            )
+        dt = np.dtype(dtype)
+        count = math.prod(shape)
+        if start + offset + count * dt.itemsize > nbytes:
+            raise PlanIntegrityError(f"payload array {name!r} overruns the payload")
+        arrays[name] = np.frombuffer(
+            buf, dtype=dt, count=count, offset=start + offset
+        ).reshape(shape)
+    return table["meta"], arrays
+
+
+def _read_header(fh: BinaryIO, path: Path) -> dict[str, Any]:
+    """Read and validate the magic + header line at ``fh``'s start."""
+    magic = fh.readline(len(MAGIC))  # the magic is a line of its own
+    if magic != MAGIC:
+        raise PlanIntegrityError(f"{path}: bad magic {magic!r}")
+    line = fh.readline(_MAX_HEADER)
+    if not line.endswith(b"\n"):
+        raise PlanIntegrityError(f"{path}: truncated header")
+    try:
+        header = json.loads(line.decode())
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise PlanIntegrityError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise PlanIntegrityError(f"{path}: header is not a JSON object")
+    for field in ("schema", "key", "sha256", "nbytes"):
+        if field not in header:
+            raise PlanIntegrityError(f"{path}: header missing {field!r}")
+    return header
+
+
+def _read_payload(fh: BinaryIO, nbytes: int, path: Path) -> np.ndarray:
+    """Read exactly ``nbytes`` from ``fh`` into one fresh buffer that starts
+    on an :data:`ALIGN` boundary (its own buffer, so every array offset in
+    the payload is aligned in memory too)."""
+    raw = np.empty(nbytes + ALIGN, dtype=np.uint8)
+    skip = -raw.ctypes.data % ALIGN
+    buf = raw[skip : skip + nbytes]
+    with memoryview(buf) as view:
+        got = 0
+        while got < nbytes:
+            n = fh.readinto(view[got:])
+            if not n:
+                raise PlanIntegrityError(
+                    f"{path}: payload ends after {got} of {nbytes} bytes (truncated)"
+                )
+            got += n
+    return buf
 
 
 def save_plan(plan: WorkloadPlan, path: str | os.PathLike[str]) -> Path:
     """Serialize ``plan`` to ``path`` atomically; returns the final path."""
     path = Path(path)
-    buf = io.BytesIO()
-    np.savez(buf, **_encode_plan(plan))
-    payload = buf.getvalue()
+    chunks = _pack(*_encode_plan(plan))
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
     header = {
         "schema": plan.schema,
         "key": list(plan.key),
-        "sha256": hashlib.sha256(payload).hexdigest(),
-        "nbytes": len(payload),
+        "sha256": digest.hexdigest(),
+        "nbytes": sum(memoryview(chunk).nbytes for chunk in chunks),
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -310,7 +465,8 @@ def save_plan(plan: WorkloadPlan, path: str | os.PathLike[str]) -> Path:
         with os.fdopen(fd, "wb") as fh:
             fh.write(MAGIC)
             fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)  # atomic: readers see old or new, never half
@@ -329,20 +485,7 @@ def read_plan_header(path: str | os.PathLike[str]) -> dict[str, Any]:
     if not path.exists():
         raise PlanNotFoundError(f"no plan artifact at {path}")
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise PlanIntegrityError(f"{path}: bad magic {magic!r}")
-        line = fh.readline()
-    if not line.endswith(b"\n"):
-        raise PlanIntegrityError(f"{path}: truncated header")
-    try:
-        header = json.loads(line.decode())
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise PlanIntegrityError(f"{path}: unreadable header: {exc}") from exc
-    for field in ("schema", "key", "sha256", "nbytes"):
-        if field not in header:
-            raise PlanIntegrityError(f"{path}: header missing {field!r}")
-    return header
+        return _read_header(fh, path)
 
 
 def load_plan(
@@ -352,55 +495,48 @@ def load_plan(
 ) -> WorkloadPlan:
     """Load, integrity-check and decode a plan artifact.
 
-    Raises :class:`~repro.errors.PlanIntegrityError` on truncation or
-    content-hash mismatch, :class:`~repro.errors.PlanSchemaError` on an
-    unsupported schema, and :class:`~repro.errors.PlanKeyError` when the
-    artifact's key does not match ``expected_key``.
+    Raises :class:`~repro.errors.PlanIntegrityError` on truncation,
+    content-hash mismatch or a malformed array table,
+    :class:`~repro.errors.PlanSchemaError` on an unsupported schema, and
+    :class:`~repro.errors.PlanKeyError` when the artifact's key does not
+    match ``expected_key``. The returned plan's step arrays are read-only
+    views into one payload buffer.
     """
     path = Path(path)
-    # one read of the whole artifact: header and payload must come from the
-    # same snapshot, or a concurrent atomic re-record could interleave two
-    # artifacts (header of one, payload of the other)
     if not path.exists():
         raise PlanNotFoundError(f"no plan artifact at {path}")
-    data = path.read_bytes()
-    if data[: len(MAGIC)] != MAGIC:
-        raise PlanIntegrityError(f"{path}: bad magic {data[:len(MAGIC)]!r}")
-    header_end = data.find(b"\n", len(MAGIC))
-    if header_end < 0:
-        raise PlanIntegrityError(f"{path}: truncated header")
-    try:
-        header = json.loads(data[len(MAGIC):header_end].decode())
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise PlanIntegrityError(f"{path}: unreadable header: {exc}") from exc
-    for field in ("schema", "key", "sha256", "nbytes"):
-        if field not in header:
-            raise PlanIntegrityError(f"{path}: header missing {field!r}")
-    if header["schema"] != PLAN_SCHEMA:
-        raise PlanSchemaError(
-            f"{path}: schema {header['schema']!r} is not supported "
-            f"(expected {PLAN_SCHEMA!r}); re-record the plan"
-        )
-    payload = data[header_end + 1 :]
-    if len(payload) != int(header["nbytes"]):
-        raise PlanIntegrityError(
-            f"{path}: payload is {len(payload)} bytes, header says {header['nbytes']} "
-            "(truncated or trailing garbage)"
-        )
-    digest = hashlib.sha256(payload).hexdigest()
+    # header and payload come through one fd, so they are one snapshot:
+    # a concurrent re-record os.replace()s a new inode and never touches
+    # the file this fd has open
+    with open(path, "rb") as fh:
+        header = _read_header(fh, path)
+        if header["schema"] != PLAN_SCHEMA:
+            raise PlanSchemaError(
+                f"{path}: schema {header['schema']!r} is not supported "
+                f"(expected {PLAN_SCHEMA!r}); re-record the plan"
+            )
+        nbytes = header["nbytes"]
+        available = os.fstat(fh.fileno()).st_size - fh.tell()
+        if type(nbytes) is not int or nbytes != available:
+            raise PlanIntegrityError(
+                f"{path}: payload is {available} bytes, header says {nbytes!r} "
+                "(truncated or trailing garbage)"
+            )
+        buf = _read_payload(fh, nbytes, path)
+    with memoryview(buf) as view:
+        digest = hashlib.sha256(view).hexdigest()
     if digest != header["sha256"]:
         raise PlanIntegrityError(f"{path}: payload hash mismatch (bit rot or tampering)")
+    buf.flags.writeable = False
     key = tuple(header["key"])
     if expected_key is not None and key != tuple(expected_key):
         raise PlanKeyError(
             f"{path}: artifact is keyed {key}, expected {tuple(expected_key)}"
         )
     try:
-        with np.load(io.BytesIO(payload), allow_pickle=False) as arrays:
-            plan = _decode_plan(arrays)
-    except PlanStoreError:
-        raise
-    except Exception as exc:  # zipfile/np.load raise a zoo of types on corruption
+        plan = _decode_plan(*_unpack(buf))
+    except (PlanIntegrityError, AttributeError, IndexError, KeyError, TypeError,
+            ValueError) as exc:  # the Python errors: a table or meta of the wrong JSON shape
         raise PlanIntegrityError(f"{path}: payload does not decode: {exc}") from exc
     if plan.key != key:
         raise PlanIntegrityError(

@@ -190,9 +190,13 @@ class WindowedQueue:
     single worker that owns the machine. Coalescable requests (``lca``)
     gather into windows closed by whichever comes first — ``window_s``
     elapsing since the oldest request was enqueued, or ``max_batch``
-    queries collected; other ops dispatch FIFO one at a time (and take
-    priority, so a slow window build never starves them). ``window_s=0``
-    disables coalescing: every window holds exactly one request.
+    queries collected; other ops dispatch FIFO one at a time. Between the
+    two classes arrival order decides: the head misc request runs first
+    only if it was enqueued no later than the oldest LCA request, so a
+    stream of treefix/cuts submissions can delay an already-queued LCA
+    window by the misc ops ahead of it, never by the ones behind it.
+    ``window_s=0`` disables coalescing: every window holds exactly one
+    request.
     """
 
     def __init__(self, *, window_s: float, max_batch: int, max_queue: int) -> None:
@@ -252,7 +256,9 @@ class WindowedQueue:
                 if self._draining:
                     return None
                 self._cond.wait(timeout=poll_s)
-            if self._misc:
+            if self._misc and (
+                not self._lca or self._misc[0].enqueued <= self._lca[0].enqueued
+            ):
                 return "misc", [self._misc.popleft()]
             window = [self._lca.popleft()]
             collected = window[0].num_queries

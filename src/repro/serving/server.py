@@ -158,7 +158,7 @@ class ServingServer(TelemetryServer):
         raw = handler.rfile.read(length)
         try:
             payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
             raise ValidationError(f"request body is not valid JSON: {exc}") from None
         if not isinstance(payload, dict):
             raise ValidationError("request body must be a JSON object")

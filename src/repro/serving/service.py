@@ -312,7 +312,12 @@ class QueryService:
             raise ServingError(
                 f"serving worker died: {self._worker_error!r}"
             ) from self._worker_error
-        payload = self._validate(op, payload)
+        try:
+            payload = self._validate(op, payload)
+        except ValidationError:
+            raise
+        except (TypeError, ValueError) as exc:  # e.g. ragged or nested JSON lists
+            raise ValidationError(f"malformed {op} payload: {exc}") from None
         request = PendingRequest(op=op, payload=payload)
         self.queue.submit(request)
         self.stats.record_request(op, request.num_queries)

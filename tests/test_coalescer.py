@@ -188,13 +188,73 @@ class TestWindowedQueue:
         assert 0.15 <= waited < 0.28
 
     def test_misc_requests_take_priority_and_run_solo(self):
+        # the misc request arrived first; its submit raced in behind the
+        # LCA's, but arrival order, not submit order, decides
+        misc = PendingRequest(op="treefix", payload={"values": arr(1)})
         q = WindowedQueue(window_s=0.05, max_batch=100, max_queue=10)
         q.submit(lca_req((1, 2)))
-        q.submit(PendingRequest(op="treefix", payload={"values": arr(1)}))
+        q.submit(misc)
         kind, window = q.next_work()
-        assert kind == "misc" and len(window) == 1
+        assert kind == "misc" and len(window) == 1 and window[0] is misc
         kind, window = q.next_work()
         assert kind == "lca"
+
+    def test_misc_stream_cannot_starve_an_earlier_lca(self):
+        # one treefix queued ahead of the LCA runs first; the stream queued
+        # behind it waits for the LCA window
+        q = WindowedQueue(window_s=0.0, max_batch=100, max_queue=100)
+        q.submit(PendingRequest(op="treefix", payload={"values": arr(0)}))
+        lca = lca_req((1, 2))
+        q.submit(lca)
+        for i in range(20):
+            q.submit(PendingRequest(op="treefix", payload={"values": arr(i + 1)}))
+        order = [q.next_work() for _ in range(3)]
+        assert [kind for kind, _ in order] == ["misc", "lca", "misc"]
+        assert order[1][1][0] is lca
+
+    def test_closed_loop_treefix_clients_cannot_starve_lca(self):
+        """Three clients keep the misc queue non-empty; an LCA submitted
+        mid-stream is served after at most the misc ops already queued
+        (one per client), not when the stream ends."""
+        q = WindowedQueue(window_s=0.001, max_batch=100, max_queue=100)
+        stop = threading.Event()
+        dispatched: list[str] = []
+        lca = lca_req((1, 2))
+
+        def worker():
+            while (work := q.next_work(poll_s=0.005)) is not None:
+                kind, window = work
+                dispatched.append("LCA" if any(r is lca for r in window) else kind)
+                if kind == "misc":
+                    time.sleep(0.001)  # a solo treefix takes a while
+                for request in window:
+                    request.finish(result="ok")
+
+        def client():
+            while not stop.is_set():
+                request = PendingRequest(op="treefix", payload={"values": arr(1)})
+                q.submit(request)
+                request.wait(timeout=5)
+
+        threads = [threading.Thread(target=worker)] + [
+            threading.Thread(target=client) for _ in range(3)
+        ]
+        for t in threads:
+            t.start()
+        try:
+            time.sleep(0.05)
+            mark = len(dispatched)
+            q.submit(lca)
+            assert lca.done.wait(5), "the LCA request starved behind the stream"
+        finally:
+            stop.set()
+            for t in threads[1:]:
+                t.join()
+            q.drain()
+            threads[0].join(timeout=5)
+        served_at = dispatched.index("LCA")
+        # one in flight at submit, plus at most one queued per client
+        assert served_at - mark <= 4
 
     def test_queue_full_sheds(self):
         q = WindowedQueue(window_s=0.05, max_batch=100, max_queue=2)

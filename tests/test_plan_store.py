@@ -13,7 +13,10 @@ coverage here.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+import struct
 import threading
 
 import numpy as np
@@ -29,11 +32,14 @@ from repro.machine.machine import PlanCache, SpatialMachine
 from repro.machine.routing import bitonic_sort
 from repro.plans import (
     MAGIC,
+    PLAN_SCHEMA,
     LRUPlanCache,
     PlanStore,
+    StepOp,
     load_plan,
     read_plan_header,
     record,
+    replay,
     save_plan,
 )
 
@@ -169,6 +175,133 @@ def test_corrupt_artifact_listed_not_fatal(plan, store):
     rows = store.ls()
     assert len(rows) == 2
     assert any("error" in r for r in rows)
+
+
+# --------------------------------------------------------------------------- #
+# the v2 container: raw arrays behind a JSON table, loaded as views
+# --------------------------------------------------------------------------- #
+
+
+def _split_artifact(path):
+    data = path.read_bytes()
+    header_end = data.index(b"\n", len(MAGIC))
+    header = json.loads(data[len(MAGIC):header_end].decode())
+    return header, data[header_end + 1:]
+
+
+def _write_artifact(path, header, payload):
+    """Write ``payload`` with a header whose hash and size match it, so
+    only the payload's own structure can betray a forgery."""
+    header = dict(header, sha256=hashlib.sha256(payload).hexdigest(), nbytes=len(payload))
+    path.write_bytes(MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n" + payload)
+
+
+def _forge_table(path, mutate):
+    header, payload = _split_artifact(path)
+    (tlen,) = struct.unpack("<Q", payload[:8])
+    data = payload[-(-(8 + tlen) // 64) * 64:]
+    table = json.loads(payload[8:8 + tlen])
+    mutate(table)
+    blob = json.dumps(table).encode()
+    head = struct.pack("<Q", len(blob)) + blob
+    _write_artifact(path, header, head + bytes(-len(head) % 64) + data)
+
+
+def test_v1_npz_artifact_asks_for_rerecord(plan, tmp_path):
+    buf = io.BytesIO()
+    np.savez(buf, meta=np.zeros(4, dtype=np.uint8))
+    path = tmp_path / "old.plan"
+    _write_artifact(
+        path, {"schema": "repro.workload-plan/v1", "key": list(plan.key)}, buf.getvalue()
+    )
+    with pytest.raises(PlanSchemaError, match="re-record"):
+        load_plan(path)
+
+
+def _entry(name, field, value):
+    """A forgery setting one field of one array-table entry."""
+    return lambda table: table["arrays"][name].__setitem__(field, value)
+
+
+@pytest.mark.parametrize("forgery", [
+    pytest.param(_entry("step_src", 0, "|O"), id="object-dtype"),
+    pytest.param(_entry("ops_kind", 0, "<U8"), id="string-dtype"),
+    pytest.param(_entry("result_0", 1, [10**6]), id="shape-overrun"),
+    pytest.param(_entry("result_0", 2, 10**9), id="offset-overrun"),
+    pytest.param(_entry("result_0", 2, 8), id="misaligned-offset"),
+    pytest.param(_entry("result_0", 2, -64), id="negative-offset"),
+    pytest.param(_entry("step_dist", 0, "<i4"), id="column-dtype"),
+    pytest.param(lambda table: table["arrays"].pop("step_flags"), id="missing-column"),
+    pytest.param(lambda table: table["meta"].pop("phase_names"), id="meta-field"),
+    pytest.param(lambda table: table.update(arrays=[]), id="table-shape"),
+])
+def test_forged_table_rejected_despite_matching_hash(plan, store, forgery):
+    path = store.put(plan)
+    _forge_table(path, forgery)
+    with pytest.raises(PlanIntegrityError):
+        load_plan(path, expected_key=plan.key)
+
+
+def test_step_arrays_are_aligned_readonly_views(store):
+    plan = record("treefix", n=48, seed=3, shape="star").plan
+    loaded = load_plan(store.put(plan), expected_key=plan.key)
+    steps = [op for op in loaded.ops if isinstance(op, StepOp)]
+    assert any(op.occ is not None for op in steps)
+    first = steps[0]
+    for arr in (first.src, first.dst, first.dist, first.rounds):
+        assert arr.ctypes.data % 64 == 0  # each column starts on a cache line
+    for op in steps:
+        for arr in (op.src, op.dst, op.dist, op.rounds, op.occ):
+            if arr is None:
+                continue
+            assert arr.flags.aligned and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
+    for name, arr in loaded.results.items():
+        assert arr.flags.writeable and arr.flags.owndata  # copied out
+        arr[...] = 0
+        # the caller's copy is its own: the next load is unaffected
+        np.testing.assert_array_equal(
+            load_plan(store.path_for(plan.key)).results[name], plan.results[name]
+        )
+
+
+WORKLOAD_SHAPES = [
+    ("treefix", "star"),  # virtual messaging: steps with occupancy
+    ("treefix_top_down", "prufer"),
+    ("layout_creation", "prufer"),
+    ("lca", "star"),
+    ("sort", "uniform"),  # plan refs only: every step column is empty
+    ("list_rank", "chain"),
+]
+
+
+@pytest.mark.parametrize("workload,shape", WORKLOAD_SHAPES)
+def test_every_workload_roundtrips_and_replays(workload, shape, tmp_path):
+    store = PlanStore(tmp_path / "plans")
+    res = record(workload, n=48, seed=3, shape=shape, store=store)
+    loaded = load_plan(res.path, expected_key=res.plan.key)
+    assert loaded.schema == PLAN_SCHEMA
+    assert [type(op) for op in loaded.ops] == [type(op) for op in res.plan.ops]
+    for got, want in zip(loaded.ops, res.plan.ops):
+        if isinstance(want, StepOp):
+            assert (got.exclusive, got.paired, got.combiner) == (
+                want.exclusive, want.paired, want.combiner
+            )
+            for field in ("src", "dst", "dist", "rounds", "occ"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert (a is None) == (b is None)
+                if b is not None:
+                    assert a.dtype == b.dtype
+                    np.testing.assert_array_equal(a, b)
+        else:
+            assert got == want
+    for engine in ("scalar", "batched"):
+        rep = replay(loaded, engine=engine, fallback=False)
+        assert rep.totals == res.plan.totals
+        assert sorted(rep.results) == sorted(res.results)
+        for name, want in res.results.items():
+            np.testing.assert_array_equal(rep.results[name], want)
 
 
 # --------------------------------------------------------------------------- #
