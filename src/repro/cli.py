@@ -1443,7 +1443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "plan",
         help="whole-workload plan compiler: record runs, replay them as "
-             "straight-line send plans (repro.workload-plan/v2)",
+             "straight-line send plans (repro.workload-plan/v3)",
     )
     plan_sub = p.add_subparsers(dest="plan_command", required=True)
 

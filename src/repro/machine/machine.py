@@ -24,6 +24,8 @@ trace exporters (:mod:`repro.analysis.report`) are just more subscribers.
 
 from __future__ import annotations
 
+import ctypes
+import itertools
 import warnings
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -34,6 +36,7 @@ import numpy as np
 
 from repro.curves import resolve_curve
 from repro.errors import MachineStateError, ValidationError
+from repro.machine import clock_kernel
 from repro.machine.instrumentation import (
     Instrument,
     LedgerInstrument,
@@ -111,200 +114,28 @@ class BatchClockAdvance:
     max_clock: int
 
 
-def _advance_round(
-    clock: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
-    scratch: np.ndarray,
-    ar: np.ndarray,
-) -> int:
-    """Advance clocks for one dependency round of remote messages, in place.
+class ClockScratch:
+    """Work buffers for :func:`advance_clocks_batch`, one set per machine.
 
-    Computes exactly what :func:`advance_clocks` computes (same integer
-    recurrences, hence bit-identical clock state) but takes O(k) fast paths
-    when the round's senders and/or receivers are pairwise distinct or
-    occur at most twice — the overwhelmingly common cases for the tree and
-    list kernels. One first-write-wins stamp into ``scratch``
-    (``scratch[ids[::-1]] = ar[::-1]``) yields each message's
-    first-occurrence position, which answers both probes at once: all ids
-    are distinct iff every position reads back its own stamp, and otherwise
-    the non-first occurrences carry occurrence index 1 — valid as a
-    pairwise round iff they are themselves distinct. Only entries written
-    in this call are read back, so stale scratch contents (from earlier
-    rounds or batches) are harmless.
-
-    ``ar`` must be ``np.arange(len(src))`` (callers pass a slice of a cached
-    buffer). Returns the max clock among the endpoints touched this round.
+    ``count`` and ``head`` are n-sized and read 0 and -1 between calls (the
+    compiled kernel restores every entry it touches before the next round);
+    ``work`` grows to three entries per message of the largest round seen.
+    The kernel runs without the GIL, so a set must never be shared between
+    machines that may run on different threads.
     """
-    k = len(src)
-    scratch[src[::-1]] = ar[::-1]
-    occ = scratch[src] != ar
-    if not occ.any():
-        # distinct senders: every message is its sender's only send
-        chain = clock[src] + 1
-        clock[src] = chain
-        fast_send = True
-    else:
-        # pairwise path: each sender sends at most twice (the degree-≤4
-        # virtual tree's relay rounds); occurrence indices are then 0/1,
-        # valid iff the later occurrences are themselves distinct
-        later = src[occ]
-        scratch[later] = ar[occ]
-        if np.array_equal(scratch[later], ar[occ]):
-            chain = clock[src] + occ + 1
-            clock[src[~occ]] += 1
-            clock[later] += 1
-            # a sender's final clock equals the chain of its last message,
-            # so chain.max() covers the senders (as in the distinct case)
-            fast_send = True
-        else:
-            # reference send recurrence (occurrence index per sender)
-            order = np.argsort(src, kind="stable")
-            sorted_src = src[order]
-            boundaries = np.flatnonzero(np.diff(sorted_src)) + 1
-            group_starts = np.concatenate([[0], boundaries])
-            group_lens = np.diff(np.concatenate([group_starts, [k]]))
-            occ_sorted = ar - np.repeat(group_starts, group_lens)
-            occ_full = np.empty(k, dtype=np.int64)
-            occ_full[order] = occ_sorted
-            chain = clock[src] + occ_full + 1
-            clock[sorted_src[group_starts]] += group_lens
-            fast_send = False
-    scratch[dst[::-1]] = ar[::-1]
-    firstpos = scratch[dst]  # first-occurrence position per message
-    docc = firstpos != ar
-    if not docc.any():
-        # distinct receivers: each receives exactly one message
-        upd = np.maximum(clock[dst] + 1, chain)
-        clock[dst] = upd
-        dst_max = int(upd.max())
-    else:
-        dlater = dst[docc]
-        scratch[dlater] = ar[docc]
-        if np.array_equal(scratch[dlater], ar[docc]):
-            # each receiver gets at most two messages: serialize the pair
-            # by chain order — arrivals max(c_min+1, c_max) on top of the
-            # two mandatory receive slots
-            pair_first = firstpos[docc]
-            c2 = chain[docc]
-            c1 = chain[pair_first]
-            gmax = np.maximum(np.minimum(c1, c2) + 1, np.maximum(c1, c2))
-            upd2 = np.maximum(clock[dlater] + 2, gmax)
-            clock[dlater] = upd2
-            single = ~docc
-            single[pair_first] = False
-            sd = dst[single]
-            dst_max = int(upd2.max())
-            if len(sd):
-                upd1 = np.maximum(clock[sd] + 1, chain[single])
-                clock[sd] = upd1
-                dst_max = max(dst_max, int(upd1.max()))
-        else:
-            # reference receive recurrence (serialized arrival processing)
-            rorder = np.lexsort((chain, dst))
-            rd_s = dst[rorder]
-            m_s = chain[rorder]
-            rb = np.flatnonzero(np.diff(rd_s)) + 1
-            rstarts = np.concatenate([[0], rb])
-            rlens = np.diff(np.concatenate([rstarts, [k]]))
-            pos_in_group = ar - np.repeat(rstarts, rlens)
-            remaining = np.repeat(rlens, rlens) - 1 - pos_in_group
-            vals_adj = m_s + remaining
-            group_max = np.maximum.reduceat(vals_adj, rstarts)
-            dst_unique = rd_s[rstarts]
-            clock[dst_unique] = np.maximum(clock[dst_unique] + rlens, group_max)
-            dst_max = int(clock[dst_unique].max())
-    if fast_send:
-        # receives only raise entries also present in dst (covered by
-        # dst_max); chain covers the senders untouched by receives
-        return max(int(chain.max()), dst_max)
-    return max(int(clock[src].max()), dst_max)
 
+    __slots__ = ("count", "head", "work")
 
-#: Rounds at or below this size take the pure-Python `_advance_round_small`
-#: path — numpy's per-call overhead (~20 vector ops) dominates tiny rounds.
-_SMALL_ROUND = 16
+    def __init__(self, n: int) -> None:
+        self.count = np.zeros(n, dtype=np.int64)
+        self.head = np.full(n, -1, dtype=np.int64)
+        self.work = np.empty(0, dtype=np.int64)
 
-
-def _advance_round_small(clock: np.ndarray, src: np.ndarray, dst: np.ndarray) -> int:
-    """Replay of the :func:`_advance_round` recurrences for tiny rounds.
-
-    Bit-identical to the vectorized path (same integer recurrences per
-    sender-occurrence and per sorted receive group) but runs in plain
-    Python, which is faster below roughly 20 messages.
-    """
-    occ_count: dict[int, int] = {}
-    chain: list[int] = []
-    for s in src.tolist():
-        o = occ_count.get(s, 0)
-        occ_count[s] = o + 1
-        chain.append(int(clock[s]) + o + 1)
-    for s, c in occ_count.items():
-        clock[s] += c
-    groups: dict[int, list[int]] = {}
-    for d, m in zip(dst.tolist(), chain):
-        groups.setdefault(d, []).append(m)
-    dst_max = 0
-    for d, ms in groups.items():
-        ms.sort()
-        last = len(ms) - 1
-        gmax = max(m + last - j for j, m in enumerate(ms))
-        upd = max(int(clock[d]) + len(ms), gmax)
-        clock[d] = upd
-        if upd > dst_max:
-            dst_max = upd
-    smax = max(int(clock[s]) for s in occ_count)
-    return max(smax, dst_max)
-
-
-def _advance_round_exclusive(
-    clock: np.ndarray, src: np.ndarray, dst: np.ndarray
-) -> int:
-    """:func:`_advance_round` when senders and receivers are each pairwise
-    distinct — the statically-known EREW shape of cached plan rounds and
-    the treefix frontier hops. Same recurrences, no distinctness probing.
-    """
-    chain = clock[src] + 1
-    clock[src] = chain
-    upd = np.maximum(clock[dst] + 1, chain)
-    clock[dst] = upd
-    return max(int(chain.max()), int(upd.max()))
-
-
-def _advance_rounds_paired(clock: np.ndarray, src: np.ndarray, dst: np.ndarray) -> int:
-    """Two consecutive EREW rounds — ``src→dst`` then ``dst→src`` over the
-    *same* pairs — fused into one update (the compare-exchange shape of the
-    cached sort-network plans).
-
-    Bit-identity with running :func:`_advance_round_exclusive` twice: with
-    pair clocks ``(a, b)``, the first round leaves ``(a+1, max(a, b) + 1)``
-    and the second leaves both endpoints at ``M = max(a, b) + 2``, which
-    also dominates every intermediate value — so the fused update writes
-    ``M`` to both sides and returns ``max(M)``.
-    """
-    m = np.maximum(clock[src], clock[dst])
-    m += 2
-    clock[src] = m
-    clock[dst] = m
-    return int(m.max())
-
-
-def _advance_round_occ(
-    clock: np.ndarray, src: np.ndarray, dst: np.ndarray, occ: np.ndarray
-) -> int:
-    """:func:`_advance_round` when receivers are pairwise distinct and the
-    senders' occurrence indices (0/1, multiplicity at most two) are known
-    statically — the virtual broadcast plan's relay rounds, where a sender
-    forwards to at most its two appended children. Same recurrences.
-    """
-    chain = clock[src] + occ + 1
-    first = occ == 0
-    clock[src[first]] += 1  # collision-free: first occurrences are distinct
-    clock[src[~first]] += 1
-    upd = np.maximum(clock[dst] + 1, chain)
-    clock[dst] = upd
-    # a sender's final clock equals the chain of its last message
-    return max(int(chain.max()), int(upd.max()))
+    def reserve(self, k: int) -> np.ndarray:
+        """The work buffer, grown (never shrunk) to cover a round of ``k`` messages."""
+        if len(self.work) < 3 * k:
+            self.work = np.empty(3 * max(k, 1024), dtype=np.int64)
+        return self.work
 
 
 def advance_clocks_batch(
@@ -312,12 +143,7 @@ def advance_clocks_batch(
     src: np.ndarray,
     dst: np.ndarray,
     offsets: np.ndarray,
-    scratch: np.ndarray,
-    ar: np.ndarray,
-    *,
-    exclusive: bool = False,
-    src_occ: np.ndarray | None = None,
-    paired: bool = False,
+    scratch: ClockScratch,
 ) -> BatchClockAdvance:
     """Advance clocks for a batch of dependency rounds, in place.
 
@@ -325,44 +151,50 @@ def advance_clocks_batch(
     messages ``offsets[r]:offsets[r+1]`` form round ``r``, and round
     ``r+1``'s chains are computed against the clock state left by round
     ``r`` — exactly as if each round were its own :meth:`SpatialMachine.send`
-    call. ``scratch`` is an n-sized int64 work array; ``ar`` must cover
-    ``np.arange`` of the largest round (see :func:`_advance_round`).
-    ``exclusive`` asserts every round is EREW (distinct senders, distinct
-    receivers); ``src_occ`` instead asserts distinct receivers plus known
-    sender occurrence indices (multiplicity ≤ 2); ``paired`` asserts the
-    rounds come in mirrored EREW pairs — round ``2r+1`` is round ``2r``
-    with src/dst exchanged, over the same index sets — letting consecutive
-    round pairs fuse into one :func:`_advance_rounds_paired` update. All
-    three are caller-trusted static properties of cached message plans.
+    call. Empty rounds are skipped and not counted.
+
+    All rounds run in one call of the compiled kernel (``_clock.c``, see
+    :mod:`repro.machine.clock_kernel`), which applies the
+    :func:`advance_clocks` recurrence in O(k) per round of k messages.
+    Where the kernel cannot be built this loops :func:`advance_clocks`
+    per round instead, with bit-identical results.
     """
-    max_clock = 0
-    rounds = 0
-    if paired:
-        for i in range(0, len(offsets) - 1, 2):
-            a, b = int(offsets[i]), int(offsets[i + 1])
-            if b <= a:
-                continue
-            rounds += 2
-            m = _advance_rounds_paired(clock, src[a:b], dst[a:b])
-            if m > max_clock:
-                max_clock = m
+    fn = clock_kernel.kernel()
+    if fn is None:
+        rounds = max_clock = 0
+        for a, b in itertools.pairwise(offsets.tolist()):
+            if b > a:
+                rounds += 1
+                adv = advance_clocks(clock, src[a:b], dst[a:b])
+                max_clock = max(max_clock, adv.max_clock)
         return BatchClockAdvance(rounds=rounds, max_clock=max_clock)
-    for i in range(len(offsets) - 1):
-        a, b = int(offsets[i]), int(offsets[i + 1])
-        if b <= a:
-            continue
-        rounds += 1
-        if b - a <= _SMALL_ROUND:
-            m = _advance_round_small(clock, src[a:b], dst[a:b])
-        elif exclusive:
-            m = _advance_round_exclusive(clock, src[a:b], dst[a:b])
-        elif src_occ is not None:
-            m = _advance_round_occ(clock, src[a:b], dst[a:b], src_occ[a:b])
-        else:
-            m = _advance_round(clock, src[a:b], dst[a:b], scratch, ar[: b - a])
-        if m > max_clock:
-            max_clock = m
-    return BatchClockAdvance(rounds=rounds, max_clock=max_clock)
+    src = np.ascontiguousarray(src, dtype=np.int64)
+    dst = np.ascontiguousarray(dst, dtype=np.int64)
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+    n = len(clock)
+    if (
+        clock.dtype != np.int64
+        or not (clock.flags.c_contiguous and clock.flags.writeable)
+        or len(dst) != len(src)
+        or len(scratch.head) < n
+    ):
+        raise MachineStateError(
+            "clock kernel needs a writeable int64 clock, aligned endpoints "
+            "and scratch for every processor"
+        )
+    work = scratch.reserve(int(np.diff(offsets).max(initial=0)))
+    rounds = ctypes.c_int64(0)
+    max_clock = fn(
+        n, clock.ctypes.data, len(src), src.ctypes.data, dst.ctypes.data,
+        offsets.ctypes.data, len(offsets) - 1, scratch.count.ctypes.data,
+        scratch.head.ctypes.data, work.ctypes.data, ctypes.byref(rounds),
+    )
+    if max_clock < 0:
+        raise MachineStateError(
+            f"clock kernel rejected the batch: round offsets or processor ids "
+            f"outside [0, {len(src)}] / [0, {n})"
+        )
+    return BatchClockAdvance(rounds=rounds.value, max_clock=max_clock)
 
 
 @dataclass(frozen=True)
@@ -393,10 +225,9 @@ class PlanRecorderHook(Protocol):
     The concrete implementation lives in :mod:`repro.plans.recorder`; the
     machine only ever calls these three hooks, keeping the dependency
     pointing from ``repro.plans`` to ``repro.machine`` and not back. The
-    recorder is *not* an :class:`Instrument`: recording must capture the
-    trusted-plan flags (``exclusive``/``src_occ``/``paired``) and survive
-    the batched engine's ledger-only fast path, neither of which the
-    :class:`StepEvent` stream carries.
+    recorder is *not* an :class:`Instrument`: recording must survive the
+    batched engine's ledger-only fast path, which skips the
+    :class:`StepEvent` stream.
     """
 
     def on_machine_step(
@@ -406,9 +237,6 @@ class PlanRecorderHook(Protocol):
         rounds: np.ndarray | None,
         dist: np.ndarray,
         *,
-        exclusive: bool,
-        src_occ: np.ndarray | None,
-        paired: bool,
         combiner: str | None,
         plan_ref: tuple[object, ...] | None,
     ) -> None: ...
@@ -507,7 +335,8 @@ class SpatialMachine:
         (default) replays each dependency round through :meth:`send` — the
         reference path, whose accounting is definitionally correct.
         ``"batched"`` runs a vectorized path that validates once, charges
-        energy once, advances clocks with O(k) fast-path kernels and emits a
+        energy once, advances all rounds' clocks in one compiled-kernel call
+        (:func:`advance_clocks_batch`) and emits a
         *single* aggregated :class:`StepEvent` per batch. Both engines
         produce identical results, ledger totals, depth clocks and step
         counts (pinned by the differential suite in
@@ -536,6 +365,7 @@ class SpatialMachine:
         self.metric = metric
         self.engine = engine
         self._uniq_scratch: np.ndarray | None = None
+        self._clock_scratch: ClockScratch | None = None
         self._arange_buf: np.ndarray | None = None
         #: memoized replay plans (e.g. sort networks) keyed by the caller;
         #: depends only on the placement, so it survives :meth:`reset_costs`
@@ -653,8 +483,16 @@ class SpatialMachine:
             )
 
     def _emit(self, hook: str, *args) -> None:
+        """Dispatch ``hook`` to every instrument. Under a wall profiler each
+        observer runs in its own ``observe.<type>`` scope, so its time is
+        reported as its own row instead of inside the enclosing kernel."""
+        wp = self._wall_profiler
         for instrument in list(self._instruments):
-            self._call(instrument, hook, *args)
+            if wp is None or instrument is wp or instrument is self._ledger_instrument:
+                self._call(instrument, hook, *args)
+            else:
+                with wp.kernel(f"observe.{type(instrument).__name__}"):
+                    self._call(instrument, hook, *args)
 
     @property
     def sanitizers(self) -> tuple[Instrument, ...]:
@@ -800,11 +638,7 @@ class SpatialMachine:
                 wp.rec("send.clock_advance", t2 - t1)
             rec = self.plan_recorder
             if rec is not None:
-                rec.on_machine_step(
-                    rs, rd, None, dist,
-                    exclusive=False, src_occ=None, paired=False,
-                    combiner=combiner, plan_ref=None,
-                )
+                rec.on_machine_step(rs, rd, None, dist, combiner=combiner, plan_ref=None)
             if self._instruments:
                 rs.setflags(write=False)
                 rd.setflags(write=False)
@@ -956,9 +790,6 @@ class SpatialMachine:
         rounds: np.ndarray,
         dist: np.ndarray | None = None,
         combiner: str | None = None,
-        exclusive: bool = False,
-        src_occ: np.ndarray | None = None,
-        paired: bool = False,
         plan_ref: tuple[object, ...] | None = None,
     ) -> np.ndarray | None:
         """Trusted replay of a cached, pre-validated message plan.
@@ -968,20 +799,8 @@ class SpatialMachine:
         :mod:`repro.spatial.batched_messaging` and the treefix frontier
         hops) guarantee ``src``/``dst`` are aligned int64 processor ids in
         range with ``src[i] != dst[i]`` everywhere, and ``rounds`` is a
-        monotone CSR offset array ``[0, ..., len(src)]``. ``exclusive``
-        additionally asserts each round is EREW — distinct senders and
-        distinct receivers — letting the clock kernel skip its distinctness
-        probes (direct-mode rank rounds and virtual reduce segments are
-        EREW by construction). ``src_occ`` is the weaker static hint for
-        rounds with distinct receivers but sender multiplicity up to 2:
-        per-message sender occurrence indices (0 for a sender's first
-        message of its round, 1 for its second), as the virtual broadcast
-        relay produces. ``paired`` asserts the rounds come in mirrored
-        EREW pairs — round ``2r+1`` replays round ``2r`` with src and dst
-        exchanged over the same index sets, the compare-exchange shape of
-        the cached sort-network plans — fusing each pair into one clock
-        update. Under the scalar engine this falls back to the validated
-        :meth:`send_batch` path.
+        monotone CSR offset array ``[0, ..., len(src)]``. Under the scalar
+        engine this falls back to the validated :meth:`send_batch` path.
 
         ``plan_ref`` (optional) names the *cached* plan these arrays came
         from — e.g. ``("sort_network", m, descending)`` — purely as
@@ -995,9 +814,7 @@ class SpatialMachine:
                 src, dst, values, rounds=rounds, combiner=combiner, dist=dist
             )
         return self._send_batched(
-            src, dst, values, rounds, combiner, dist,
-            all_remote=True, exclusive=exclusive, src_occ=src_occ, paired=paired,
-            plan_ref=plan_ref,
+            src, dst, values, rounds, combiner, dist, all_remote=True, plan_ref=plan_ref
         )
 
     def _send_batched(
@@ -1010,20 +827,12 @@ class SpatialMachine:
         dist: np.ndarray | None = None,
         *,
         all_remote: bool = False,
-        exclusive: bool = False,
-        src_occ: np.ndarray | None = None,
-        paired: bool = False,
         plan_ref: tuple[object, ...] | None = None,
     ) -> np.ndarray | None:
         """Vectorized engine behind :meth:`send_batch` (``engine="batched"``).
 
         ``all_remote=True`` (the :meth:`send_plan` contract) asserts every
-        message has distinct endpoints, skipping the self-message scan;
-        ``exclusive=True`` asserts each round is EREW, ``src_occ`` asserts
-        distinct receivers plus sender occurrence indices, and ``paired``
-        asserts mirrored EREW round pairs (see
-        :func:`advance_clocks_batch`). ``src_occ`` and ``paired`` require
-        ``all_remote=True`` — they describe the unfiltered batch.
+        message has distinct endpoints, skipping the self-message scan.
         """
         wp = self._wall_profiler
         t0 = wp.clock() if wp is not None else 0
@@ -1064,12 +873,8 @@ class SpatialMachine:
                 wp.rec("batch.distances", t2 - t1)
                 t1 = t2
         depth_before = self._max_clock
-        ar = self._arange(len(rs))
-        scratch = self._scratch()
-        adv = advance_clocks_batch(
-            self.clock, rs, rd, roffsets, scratch, ar,
-            exclusive=exclusive, src_occ=src_occ, paired=paired,
-        )
+        # called through the module global, so it can be wrapped there
+        adv = advance_clocks_batch(self.clock, rs, rd, roffsets, self._clock_buffers())
         self._max_clock = max(self._max_clock, adv.max_clock)
         if wp is not None:
             t2 = wp.clock()
@@ -1077,11 +882,7 @@ class SpatialMachine:
             t1 = t2
         rec = self.plan_recorder
         if rec is not None and len(rs):
-            rec.on_machine_step(
-                rs, rd, roffsets, dist,
-                exclusive=exclusive, src_occ=src_occ, paired=paired,
-                combiner=combiner, plan_ref=plan_ref,
-            )
+            rec.on_machine_step(rs, rd, roffsets, dist, combiner=combiner, plan_ref=plan_ref)
         instruments = self._instruments
         if self._ledger_fast_path:
             # the always-attached ledger only reads energy/messages — skip
@@ -1104,6 +905,8 @@ class SpatialMachine:
             ev_dist.setflags(write=False)
             histogram = np.bincount(dist)
             histogram.setflags(write=False)
+            scratch = self._scratch()
+            ar = self._arange(len(rs))
             payload = None
             if vals is not None:
                 payload = (vals[remote] if n_remote != len(src) else vals).view()
@@ -1148,8 +951,19 @@ class SpatialMachine:
             return out
         return values
 
+    def _clock_buffers(self) -> ClockScratch:
+        """The machine's own :class:`ClockScratch`, allocated on first use."""
+        buf = self._clock_scratch
+        if buf is None:
+            buf = self._clock_scratch = ClockScratch(self.n)
+            if self._wall_profiler is not None:
+                self._wall_profiler.alloc(
+                    "machine.clock_scratch", buf.count.nbytes + buf.head.nbytes
+                )
+        return buf
+
     def _scratch(self) -> np.ndarray:
-        """Lazily-allocated n-sized int64 work array for the batched engine."""
+        """Lazily-allocated n-sized int64 work array for event assembly."""
         scr = self._uniq_scratch
         if scr is None:
             scr = np.empty(self.n, dtype=np.int64)

@@ -100,11 +100,8 @@ class SortNetworkPlan:
     path.
 
     Each message round is EREW by construction (a lane sits in exactly one
-    comparator per round), and consecutive rounds are mirrored pairs over
-    the same endpoints, so the batched engine replays the whole plan with
-    one :meth:`~repro.machine.SpatialMachine.send_plan` call whose paired
-    clock kernel fuses each lower→upper/upper→lower pair into a single
-    O(k) update.
+    comparator per round), so the batched engine replays the whole plan
+    with one :meth:`~repro.machine.SpatialMachine.send_plan` call.
     """
 
     m: int
@@ -220,8 +217,6 @@ def _run_network_batched(
             None,
             rounds=plan.msg_rounds,
             dist=plan.msg_dist,
-            exclusive=True,
-            paired=True,
             plan_ref=("sort_network", plan.m, plan.descending),
         )
     m = plan.m

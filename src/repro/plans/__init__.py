@@ -3,8 +3,8 @@
 The subsystem has four parts:
 
 - :mod:`repro.plans.recorder` — :class:`WorkloadPlanRecorder` captures a
-  live workload execution (phases, every CSR dependency round with its
-  trusted clock-kernel flags, pre-gathered distances, RNG epochs) into a
+  live workload execution (phases, every CSR dependency round,
+  pre-gathered distances, RNG epochs) into a
   schema-versioned :class:`WorkloadPlan`;
 - :mod:`repro.plans.store` — :class:`PlanStore` persists plans as
   integrity-checked artifacts with an LRU memory layer on the machine's

@@ -1,11 +1,11 @@
-"""Whole-workload plan recording (``repro.workload-plan/v2``).
+"""Whole-workload plan recording (``repro.workload-plan/v3``).
 
 The paper's workloads are structurally fixed once ``(workload, n, curve,
 tree-shape class)`` is fixed: treefix, layout creation, batched LCA and the
 sort network always exchange the same message sets for the same instance.
 :class:`WorkloadPlanRecorder` exploits this by capturing one execution —
-the ordered phase sequence, every CSR dependency round with its trusted
-clock-kernel flags, the pre-gathered distances, and the results — into a
+the ordered phase sequence, every CSR dependency round, the pre-gathered
+distances, and the results — into a
 :class:`WorkloadPlan` artifact that :func:`repro.plans.replay.replay`
 re-executes as a straight-line sequence of vectorized
 :meth:`~repro.machine.SpatialMachine.send_plan` calls.
@@ -21,16 +21,14 @@ in the ranking flows from the coins. On a mismatch the replay aborts with
 live execution (and re-records).
 
 The recorder hooks the machine directly (``machine.plan_recorder``), not
-the :class:`~repro.machine.instrumentation.StepEvent` stream: events are
-skipped on the batched engine's ledger-only fast path and do not carry the
-``exclusive``/``src_occ``/``paired`` plan flags, both of which recording
-must preserve bit-for-bit.
+the :class:`~repro.machine.instrumentation.StepEvent` stream, because
+events are skipped on the batched engine's ledger-only fast path.
 
 A plan's arrays are immutable once recorded: :mod:`repro.plans.store`
 persists them as raw 64-byte-aligned columns and a load hands every
 :class:`StepOp` back as read-only views into one payload buffer, so
 nothing downstream of replay may write into ``src``/``dst``/``dist``/
-``rounds``/``occ``. Results are the exception — a load copies them out.
+``rounds``. Results are the exception — a load copies them out.
 """
 
 from __future__ import annotations
@@ -44,12 +42,7 @@ import numpy as np
 from repro.errors import MachineStateError, ValidationError
 from repro.machine.machine import SpatialMachine
 
-PLAN_SCHEMA = "repro.workload-plan/v2"
-
-#: step-flag bits (serialized into the artifact's ``step_flags`` column)
-FLAG_EXCLUSIVE = 1
-FLAG_PAIRED = 2
-FLAG_HAS_OCC = 4
+PLAN_SCHEMA = "repro.workload-plan/v3"
 
 
 def coin_digest(coins: np.ndarray) -> str:
@@ -98,9 +91,6 @@ class StepOp:
     dst: np.ndarray
     rounds: np.ndarray  # CSR offsets [0, ..., len(src)], all rounds non-empty
     dist: np.ndarray
-    occ: np.ndarray | None
-    exclusive: bool
-    paired: bool
     combiner: str | None
 
     @property
@@ -192,8 +182,6 @@ class WorkloadPlan:
         for op in self.ops:
             if isinstance(op, StepOp):
                 total += op.src.nbytes + op.dst.nbytes + op.dist.nbytes + op.rounds.nbytes
-                if op.occ is not None:
-                    total += op.occ.nbytes
         for arr in self.results.values():
             total += arr.nbytes
         return total
@@ -265,9 +253,6 @@ class WorkloadPlanRecorder:
         rounds: np.ndarray | None,
         dist: np.ndarray,
         *,
-        exclusive: bool,
-        src_occ: np.ndarray | None,
-        paired: bool,
         combiner: str | None,
         plan_ref: tuple[object, ...] | None,
     ) -> None:
@@ -295,9 +280,6 @@ class WorkloadPlanRecorder:
                 dst=np.array(dst, dtype=np.int64, copy=True),
                 rounds=offs,
                 dist=np.array(dist, dtype=np.int64, copy=True),
-                occ=None if src_occ is None else np.array(src_occ, dtype=np.int64, copy=True),
-                exclusive=bool(exclusive),
-                paired=bool(paired),
                 combiner=combiner,
             )
         )

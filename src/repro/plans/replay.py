@@ -135,9 +135,7 @@ def _resolve_sort_network(machine: SpatialMachine, op: PlanRefOp) -> None:
             f"recorded {op.messages} / {op.energy})"
         )
     machine.send_plan(
-        net.msg_src, net.msg_dst, None,
-        rounds=net.msg_rounds, dist=net.msg_dist,
-        exclusive=True, paired=True,
+        net.msg_src, net.msg_dst, None, rounds=net.msg_rounds, dist=net.msg_dist
     )
 
 
@@ -182,7 +180,6 @@ def execute_plan(
                     machine.send_plan(
                         op.src, op.dst, None,
                         rounds=op.rounds, dist=op.dist, combiner=op.combiner,
-                        exclusive=op.exclusive, src_occ=op.occ, paired=op.paired,
                     )
                 elif isinstance(op, PhaseEnterOp):
                     cm = machine.phase(op.name)

@@ -1,6 +1,6 @@
 """Persistent, integrity-checked storage for workload plans.
 
-Artifact container (``*.plan``, schema ``repro.workload-plan/v2``)::
+Artifact container (``*.plan``, schema ``repro.workload-plan/v3``)::
 
     REPROPLAN1\\n                      ← magic
     {"schema": ..., "key": [...],     ← one JSON header line
@@ -61,9 +61,6 @@ from repro.errors import (
 )
 from repro.machine.machine import PlanCache
 from repro.plans.recorder import (
-    FLAG_EXCLUSIVE,
-    FLAG_HAS_OCC,
-    FLAG_PAIRED,
     PLAN_SCHEMA,
     EpochOp,
     PhaseEnterOp,
@@ -101,9 +98,6 @@ _COLUMNS = {
     "step_offsets": np.int64,
     "step_rounds": np.int64,
     "step_rounds_offsets": np.int64,
-    "step_occ": np.int64,
-    "step_occ_offsets": np.int64,
-    "step_flags": np.int8,
 }
 
 
@@ -174,23 +168,6 @@ def _encode_plan(plan: WorkloadPlan) -> tuple[dict[str, Any], dict[str, np.ndarr
         "step_rounds_offsets": np.cumsum(
             [0] + [len(s.rounds) for s in steps], dtype=np.int64
         ),
-        "step_occ": (
-            np.concatenate([s.occ for s in steps if s.occ is not None])
-            if any(s.occ is not None for s in steps)
-            else empty
-        ),
-        "step_occ_offsets": np.cumsum(
-            [0] + [0 if s.occ is None else len(s.occ) for s in steps], dtype=np.int64
-        ),
-        "step_flags": np.asarray(
-            [
-                (FLAG_EXCLUSIVE if s.exclusive else 0)
-                | (FLAG_PAIRED if s.paired else 0)
-                | (FLAG_HAS_OCC if s.occ is not None else 0)
-                for s in steps
-            ],
-            dtype=np.int8,
-        ),
     }
     for i, (name, arr) in enumerate(sorted(plan.results.items())):
         arrays[f"result_{i}"] = arr
@@ -253,18 +230,15 @@ def _decode_plan(meta: dict[str, Any], arrays: dict[str, np.ndarray]) -> Workloa
     step_dst = arrays["step_dst"]
     step_dist = arrays["step_dist"]
     step_rounds = arrays["step_rounds"]
-    step_occ = arrays["step_occ"]
-    flags = arrays["step_flags"].tolist()
+    combiners = meta["combiners"]
     if not len(step_src) == len(step_dst) == len(step_dist):
         raise PlanIntegrityError("plan payload step_src/dst/dist lengths disagree")
-    offs = _csr_offsets(step_src, arrays["step_offsets"], len(flags), "step")
+    offs = _csr_offsets(step_src, arrays["step_offsets"], len(combiners), "step")
     roffs = _csr_offsets(
-        step_rounds, arrays["step_rounds_offsets"], len(flags), "step_rounds"
+        step_rounds, arrays["step_rounds_offsets"], len(combiners), "step_rounds"
     )
-    ooffs = _csr_offsets(step_occ, arrays["step_occ_offsets"], len(flags), "step_occ")
 
     phase_names = meta["phase_names"]
-    combiners = meta["combiners"]
     epochs = meta["epochs"]
     planrefs = meta["planrefs"]
 
@@ -277,18 +251,12 @@ def _decode_plan(meta: dict[str, Any], arrays: dict[str, np.ndarray]) -> Workloa
                 ops.append(PhaseExitOp(phase_names[arg]))
             elif kind == _K_STEP:
                 a, b = offs[arg], offs[arg + 1]
-                f = flags[arg]
                 ops.append(
                     StepOp(
                         src=step_src[a:b],
                         dst=step_dst[a:b],
                         rounds=step_rounds[roffs[arg] : roffs[arg + 1]],
                         dist=step_dist[a:b],
-                        occ=step_occ[ooffs[arg] : ooffs[arg + 1]]
-                        if f & FLAG_HAS_OCC
-                        else None,
-                        exclusive=bool(f & FLAG_EXCLUSIVE),
-                        paired=bool(f & FLAG_PAIRED),
                         combiner=combiners[arg],
                     )
                 )

@@ -346,7 +346,14 @@ class QueryService:
             check_in_range(vs, 0, n, name="vs")
             return {"us": us, "vs": vs}
         if op == "treefix":
-            values = np.atleast_1d(np.asarray(payload.get("values")))
+            raw = payload.get("values")
+            values = np.atleast_1d(np.asarray(raw))
+            if values.dtype.kind == "f" and isinstance(raw, list) and all(
+                type(v) is int for v in raw
+            ):
+                # numpy turns integers past int64 into floats, which would
+                # round the sums instead of summing the integers sent
+                raise ValidationError("integer treefix values must fit in int64")
             if len(values) != n:
                 raise ValidationError(
                     f"treefix values must have length n={n}, got {len(values)}"

@@ -184,7 +184,7 @@ def direct_broadcast(
     if len(par) == 0:
         return received
     sent = values[par]
-    st.machine.send_plan(ppar, pchi, sent, rounds=offs, dist=pd, exclusive=True)
+    st.machine.send_plan(ppar, pchi, sent, rounds=offs, dist=pd)
     received[chi] = sent
     return received
 
@@ -206,7 +206,7 @@ def direct_reduce(
         )
     if len(par) == 0:
         return acc
-    st.machine.send_plan(pchi, ppar, msg[chi], rounds=offs, dist=pd, exclusive=True)
+    st.machine.send_plan(pchi, ppar, msg[chi], rounds=offs, dist=pd)
     for r in range(len(offs) - 1):
         a, b = int(offs[r]), int(offs[r + 1])
         if b <= a:
@@ -230,26 +230,16 @@ def virtual_bcast_plan(
     np.ndarray,
     np.ndarray,
     np.ndarray,
-    np.ndarray,
     tuple,
 ]:
     """``(children, family, sender_procs, child_procs, distances,
-    sender_occurrence, round_offsets, family_index)`` for virtual broadcast.
+    round_offsets, family_index)`` for virtual broadcast.
 
     Round order matches the scalar path: the current-children round first,
     then the appended rounds by ascending relay depth. ``family[i]`` is the
     original-tree parent whose value child ``i`` receives (for current
     children that *is* the sender), so the delivered value is uniformly
     ``values[family]`` and the family mask is uniformly ``families[family]``.
-
-    ``sender_occurrence[i]`` is edge ``i``'s sender's occurrence index
-    within its round (0 or 1 — a virtual node relays to at most two
-    targets per round, and receivers are distinct), the static hint that
-    lets the clock kernel skip its per-round multiplicity probes. Both of
-    a sender's same-round edges serve the *same* family (relay trees are
-    per-family, and for current children the family is the sender itself),
-    so :func:`_select_family` keeps or drops them together and the indices
-    survive family filtering.
     """
     cache = getattr(st, "_virtual_bcast_plan", None)
     st.machine.plan_cache.count("batched_virtual_bcast", hit=cache is not None)
@@ -268,7 +258,6 @@ def virtual_bcast_plan(
             empty,
             empty,
             empty,
-            empty,
             np.zeros(1, dtype=np.int64),
             _family_index(empty, st.n),
         )
@@ -281,34 +270,27 @@ def virtual_bcast_plan(
         psrc = st.proc[src]
         pchi = st.proc[chi]
         pd = st.machine.manhattan(psrc, pchi)
-        # per-round sender occurrence index: second-of-pair edges get 1
-        rid = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-        pair = rid * np.int64(st.n) + src
-        order = np.argsort(pair, kind="stable")
-        sorted_pair = pair[order]
-        occ = np.zeros(len(src), dtype=np.int64)
-        occ[order[1:]] = sorted_pair[1:] == sorted_pair[:-1]
-        plan = (chi, fam, psrc, pchi, pd, occ, offs, _family_index(fam, st.n))
+        plan = (chi, fam, psrc, pchi, pd, offs, _family_index(fam, st.n))
     st._virtual_bcast_plan = plan
     if wp is not None:
         wp.rec("plan_build.virtual_bcast", wp.clock() - t0, messages=len(plan[0]))
-        wp.alloc("plan.virtual_bcast", sum(a.nbytes for a in plan[:7]))
+        wp.alloc("plan.virtual_bcast", sum(a.nbytes for a in plan[:6]))
     return plan
 
 
 def virtual_broadcast(
     st: SpatialTree, values: np.ndarray, families: np.ndarray | None
 ) -> np.ndarray:
-    chi, fam, psrc, pchi, pd, occ, offs, findex = virtual_bcast_plan(st)
+    chi, fam, psrc, pchi, pd, offs, findex = virtual_bcast_plan(st)
     received = values.copy()
     if families is not None and len(chi):
-        offs, chi, fam, psrc, pchi, pd, occ = _select_family(
-            findex, families, offs, chi, fam, psrc, pchi, pd, occ
+        offs, chi, fam, psrc, pchi, pd = _select_family(
+            findex, families, offs, chi, fam, psrc, pchi, pd
         )
     if len(chi) == 0:
         return received
     sent = values[fam]
-    st.machine.send_plan(psrc, pchi, sent, rounds=offs, dist=pd, src_occ=occ)
+    st.machine.send_plan(psrc, pchi, sent, rounds=offs, dist=pd)
     received[chi] = sent
     return received
 
@@ -410,7 +392,7 @@ def virtual_reduce(
         return result
     # all sends charged up front in replay order (accounting is independent
     # of the payload, which the scalar path evolves between rounds)
-    st.machine.send_plan(pchi, ppar, None, rounds=offs, dist=pd, exclusive=True)
+    st.machine.send_plan(pchi, ppar, None, rounds=offs, dist=pd)
     for r in range(len(offs) - 1):
         a, b = int(offs[r]), int(offs[r + 1])
         if b <= a:

@@ -133,26 +133,20 @@ class SpatialTree:
             self.proc[src], self.proc[dst], values, rounds=rounds, combiner=combiner
         )
 
-    def send_plan(
-        self, src_vertices, dst_vertices, values=None, *, rounds=None, exclusive=False
-    ):
+    def send_plan(self, src_vertices, dst_vertices, values=None, *, rounds=None):
         """Trusted vertex-addressed batch (see
         :meth:`~repro.machine.SpatialMachine.send_plan`).
 
         Callers guarantee in-range int64 vertex ids with
         ``src_vertices[i] != dst_vertices[i]`` everywhere — the treefix
         driver's frontier hops along tree edges qualify by construction.
-        ``exclusive`` additionally asserts each round has distinct senders
-        and distinct receivers. Accounting is identical to
-        :meth:`send_batch` under both engines.
+        Accounting is identical to :meth:`send_batch` under both engines.
         """
         src = np.atleast_1d(src_vertices)
         dst = np.atleast_1d(dst_vertices)
         if rounds is None:
             rounds = np.array([0, len(src)], dtype=np.int64)
-        return self.machine.send_plan(
-            self.proc[src], self.proc[dst], values, rounds=rounds, exclusive=exclusive
-        )
+        return self.machine.send_plan(self.proc[src], self.proc[dst], values, rounds=rounds)
 
     @property
     def n(self) -> int:

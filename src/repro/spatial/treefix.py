@@ -142,13 +142,13 @@ def _rep_to_last_hop(st, reps: np.ndarray, last: np.ndarray) -> None:
     """Charge the representative → family-head hop where they differ."""
     far = reps[last[reps] != reps]
     if len(far):
-        st.send_plan(far, last[far], exclusive=True)
+        st.send_plan(far, last[far])
 
 
 def _last_to_rep_hop(st, reps: np.ndarray, last: np.ndarray) -> None:
     far = reps[last[reps] != reps]
     if len(far):
-        st.send_plan(last[far], far, exclusive=True)
+        st.send_plan(last[far], far)
 
 
 def _family_mask(n: int, heads: np.ndarray) -> np.ndarray:
@@ -230,7 +230,6 @@ def _contract(
                 np.concatenate([sel, sel]),
                 np.concatenate([u, child]),
                 rounds=np.array([0, k, 2 * k]),
-                exclusive=True,
             )
             # event record at v
             s.ev_type[sel] = _EV_COMPRESS
@@ -303,7 +302,7 @@ def _contract(
         raker_mask[rakers] = True
         raked = is_leaf & raker_mask[s.par]
         # event record at the designated child
-        st.send_plan(rakers, designated, exclusive=True)
+        st.send_plan(rakers, designated)
         s.ev_type[designated] = _EV_RAKE
         s.ev_saved[designated] = s.log_head[rakers]
         s.ev_last[designated] = s.last[rakers]
@@ -349,7 +348,6 @@ def _uncontract(st, s: _TreefixState, op: Op, identity, direction: str, max_roun
                 np.concatenate([cu, v]),
                 np.concatenate([v, cu]),
                 rounds=np.array([0, k, 2 * k]),
-                exclusive=True,
             )
             if direction == "bottom_up":
                 s.A[v] = s.A[cu]
@@ -365,7 +363,7 @@ def _uncontract(st, s: _TreefixState, op: Op, identity, direction: str, max_roun
             child = s.only_child[v]
             has_child = child != _NONE
             if has_child.any():
-                st.send_plan(v[has_child], child[has_child], exclusive=True)
+                st.send_plan(v[has_child], child[has_child])
                 s.par[child[has_child]] = v[has_child]
             s.ev_type[v] = 0
 

@@ -21,8 +21,8 @@ compares four figures against what the live engine charged:
   energy (catches corrupted cached-plan distances and bad fused kernels);
 * **messages** — replayed endpoint count vs charged count;
 * **depth** — reference clock replay vs the machine's live depth clock
-  (catches bugs in the batched engine's O(k) fast-path clock kernels,
-  which are *trusted* hints on the hot path);
+  (catches a batched-engine clock advance that drifts from the oracle,
+  e.g. a miscompiled or stale clock kernel);
 * **steps** — replayed non-empty round count vs the live step counter.
 
 Any mismatch increments ``repro_divergence_alerts_total``, records a

@@ -230,13 +230,11 @@ def test_send_batch_fuzz_equivalence(n, k, seed, with_dist):
 @given(
     n=st.integers(min_value=2, max_value=40),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
-    exclusive=st.booleans(),
 )
-def test_send_plan_fuzz_equivalence(n, seed, exclusive):
+def test_send_plan_fuzz_equivalence(n, seed):
     """send_plan's trusted replay charges exactly like validated send_batch.
 
-    Rounds are built EREW (distinct senders, distinct receivers, src != dst)
-    so the same plan is legal with and without the ``exclusive`` hint.
+    Rounds are built EREW (distinct senders, distinct receivers, src != dst).
     """
     rng = np.random.default_rng(seed)
     segs = []
@@ -256,7 +254,7 @@ def test_send_plan_fuzz_equivalence(n, seed, exclusive):
     machines = {}
     for engine in ENGINES:
         m = SpatialMachine(n, engine=engine)
-        m.send_plan(src, dst, rounds=rounds, exclusive=exclusive)
+        m.send_plan(src, dst, rounds=rounds)
         machines[engine] = m
     assert_machines_agree(machines["scalar"], machines["batched"])
 

@@ -178,7 +178,7 @@ def test_corrupt_artifact_listed_not_fatal(plan, store):
 
 
 # --------------------------------------------------------------------------- #
-# the v2 container: raw arrays behind a JSON table, loaded as views
+# the container: raw arrays behind a JSON table, loaded as views
 # --------------------------------------------------------------------------- #
 
 
@@ -207,13 +207,15 @@ def _forge_table(path, mutate):
     _write_artifact(path, header, head + bytes(-len(head) % 64) + data)
 
 
-def test_v1_npz_artifact_asks_for_rerecord(plan, tmp_path):
+@pytest.mark.parametrize("schema", [
+    pytest.param("repro.workload-plan/v1", id="v1"),
+    pytest.param("repro.workload-plan/v2", id="v2"),
+])
+def test_v1_npz_artifact_asks_for_rerecord(plan, tmp_path, schema):
     buf = io.BytesIO()
     np.savez(buf, meta=np.zeros(4, dtype=np.uint8))
     path = tmp_path / "old.plan"
-    _write_artifact(
-        path, {"schema": "repro.workload-plan/v1", "key": list(plan.key)}, buf.getvalue()
-    )
+    _write_artifact(path, {"schema": schema, "key": list(plan.key)}, buf.getvalue())
     with pytest.raises(PlanSchemaError, match="re-record"):
         load_plan(path)
 
@@ -231,7 +233,7 @@ def _entry(name, field, value):
     pytest.param(_entry("result_0", 2, 8), id="misaligned-offset"),
     pytest.param(_entry("result_0", 2, -64), id="negative-offset"),
     pytest.param(_entry("step_dist", 0, "<i4"), id="column-dtype"),
-    pytest.param(lambda table: table["arrays"].pop("step_flags"), id="missing-column"),
+    pytest.param(lambda table: table["arrays"].pop("step_rounds_offsets"), id="missing-column"),
     pytest.param(lambda table: table["meta"].pop("phase_names"), id="meta-field"),
     pytest.param(lambda table: table.update(arrays=[]), id="table-shape"),
 ])
@@ -246,14 +248,11 @@ def test_step_arrays_are_aligned_readonly_views(store):
     plan = record("treefix", n=48, seed=3, shape="star").plan
     loaded = load_plan(store.put(plan), expected_key=plan.key)
     steps = [op for op in loaded.ops if isinstance(op, StepOp)]
-    assert any(op.occ is not None for op in steps)
     first = steps[0]
     for arr in (first.src, first.dst, first.dist, first.rounds):
         assert arr.ctypes.data % 64 == 0  # each column starts on a cache line
     for op in steps:
-        for arr in (op.src, op.dst, op.dist, op.rounds, op.occ):
-            if arr is None:
-                continue
+        for arr in (op.src, op.dst, op.dist, op.rounds):
             assert arr.flags.aligned and not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[...] = 0
@@ -267,7 +266,7 @@ def test_step_arrays_are_aligned_readonly_views(store):
 
 
 WORKLOAD_SHAPES = [
-    ("treefix", "star"),  # virtual messaging: steps with occupancy
+    ("treefix", "star"),  # virtual messaging: senders with two messages a round
     ("treefix_top_down", "prufer"),
     ("layout_creation", "prufer"),
     ("lca", "star"),
@@ -285,15 +284,11 @@ def test_every_workload_roundtrips_and_replays(workload, shape, tmp_path):
     assert [type(op) for op in loaded.ops] == [type(op) for op in res.plan.ops]
     for got, want in zip(loaded.ops, res.plan.ops):
         if isinstance(want, StepOp):
-            assert (got.exclusive, got.paired, got.combiner) == (
-                want.exclusive, want.paired, want.combiner
-            )
-            for field in ("src", "dst", "dist", "rounds", "occ"):
+            assert got.combiner == want.combiner
+            for field in ("src", "dst", "dist", "rounds"):
                 a, b = getattr(got, field), getattr(want, field)
-                assert (a is None) == (b is None)
-                if b is not None:
-                    assert a.dtype == b.dtype
-                    np.testing.assert_array_equal(a, b)
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
         else:
             assert got == want
     for engine in ("scalar", "batched"):

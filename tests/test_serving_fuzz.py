@@ -60,7 +60,9 @@ def post_raw(url: str, route: str, body: bytes) -> tuple[int, dict]:
 
 
 def oracle_lca(tree, payload):
-    pairs = np.stack([np.asarray(payload["us"]), np.asarray(payload["vs"])], axis=1)
+    # the service reads a bare id as a one-element list
+    us, vs = np.atleast_1d(payload["us"]), np.atleast_1d(payload["vs"])
+    pairs = np.stack([us, vs], axis=1)
     return offline_tarjan_lca(tree, pairs).tolist()
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.machine import KernelWallProfiler, SpatialMachine
+from repro.machine import Instrument, KernelWallProfiler, SpatialMachine
 from repro.machine.wallclock import NULL_SCOPE, PERF_SCHEMA
 from repro.spatial import SpatialTree, treefix_sum
 from repro.trees import bottom_up_treefix, prufer_random_tree
@@ -165,6 +165,26 @@ class TestMachineIntegration:
         assert totals["energy"] == st.machine.energy
         assert totals["depth"] == st.machine.depth
         assert totals["kernel_wall_ns"] == p.kernel_wall_ns()
+
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    def test_observer_time_lands_in_its_own_row(self, engine):
+        # a slow instrument's hook time is billed to observe.<type>, not to
+        # the spatial kernel whose scope is open when the step fires
+        clock = FakeClock(step=0)
+
+        class SlowObserver(Instrument):
+            def on_step(self, event):
+                clock.t += 1000
+
+        m = SpatialMachine(16, engine=engine)
+        p = m.attach(KernelWallProfiler(clock_ns=clock))
+        m.attach(SlowObserver())
+        with m.phase("work"), m.profile_kernel("outer"):
+            m.send_batch(np.array([0, 1]), np.array([2, 3]), rounds=[0, 1, 2])
+        events = 1 if engine == "batched" else 2
+        assert p.rows[("observe.SlowObserver", "work")].ns == 1000 * events
+        assert p.rows[("outer", "work")].ns == 0
+        assert p.kernel_wall_ns() == 1000 * events
 
     def test_step_events_carry_wall_ns_only_when_profiled(self):
         from repro.machine.instrumentation import StepLog
