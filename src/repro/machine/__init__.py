@@ -14,7 +14,6 @@
 from repro.machine.machine import PlanCache, SpatialMachine
 from repro.machine.instrumentation import (
     Instrument,
-    LedgerInstrument,
     StepEvent,
     StepLog,
     TracerInstrument,
@@ -61,7 +60,6 @@ __all__ = [
     "CostLedger",
     "PhaseCost",
     "Instrument",
-    "LedgerInstrument",
     "StepEvent",
     "StepLog",
     "TracerInstrument",

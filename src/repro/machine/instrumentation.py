@@ -1,21 +1,22 @@
 """Pluggable observability for the spatial machine.
 
-The simulator's whole job is *measurement* — energy, depth, congestion —
-yet each consumer used to hook into :meth:`SpatialMachine.send` in its own
-ad-hoc way (the ledger inline, the congestion tracer via a ``tracer``
-attribute). This module unifies them behind one observer protocol:
+The machine charges its own :class:`~repro.machine.ledger.CostLedger`
+inline; every other consumer observes one event stream behind one
+observer protocol:
 
 * :class:`StepEvent` — an immutable record of one bulk ``send``: step
-  index, the active phase stack, remote endpoints, energy charged, the
-  per-message distance histogram, and the depth clock before/after.
+  index, the active phase stack, remote endpoints, energy charged, and the
+  depth clock before/after. Derived fields (the distance histogram and the
+  distinct sender/receiver counts) are computed on first read.
 * :class:`Instrument` — the subscriber base class. Attach any number with
   ``machine.attach(instrument)``; each bulk send fires exactly one
   ``on_step`` per instrument, and ``machine.phase(...)`` fires paired
-  ``on_phase_enter`` / ``on_phase_exit`` notifications.
-* :class:`LedgerInstrument` / :class:`TracerInstrument` — the two
-  pre-existing consumers (cost accounting, XY-routing congestion),
-  reimplemented as ordinary instruments. The machine auto-attaches a
-  :class:`LedgerInstrument` so ``machine.energy`` works as before.
+  ``on_phase_enter`` / ``on_phase_exit`` notifications. A machine with
+  no instrument attached builds no events at all.
+* :class:`TracerInstrument` — XY-routing congestion tracing as an
+  ordinary instrument. Reports, profilers, sanitizers, telemetry and the
+  workload-plan recorder (:mod:`repro.plans.recorder`) are instruments
+  too.
 
 Failure isolation: a raising instrument must never corrupt the cost
 accounting of the run it observes, so the machine dispatches to each
@@ -26,12 +27,12 @@ instrument inside its own ``try``. Exceptions are collected on
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.machine.ledger import CostLedger
     from repro.machine.machine import SpatialMachine
     from repro.machine.tracing import CongestionTracer
 
@@ -53,15 +54,10 @@ class StepEvent:
     distances:
         Per-message distance under the machine's metric, aligned with
         ``src``/``dst``.
-    distance_histogram:
-        ``distance_histogram[d]`` = number of messages travelling exactly
-        distance ``d`` (``np.bincount`` of ``distances``).
     energy:
         Total distance charged by this step (== ``distances.sum()``).
     messages:
         Remote message count (== ``len(src)``).
-    src_count, dst_count:
-        Number of distinct senders / receivers.
     depth_before, depth_after:
         The machine's depth clock around this step.
     metric:
@@ -81,12 +77,24 @@ class StepEvent:
         batch's sequential dependency rounds. Round ``r`` is the slice
         ``rounds[r]:rounds[r+1]``; the scalar engine would have charged it
         as its own step with index ``step + r``. Read-only view.
+    plan_ref:
+        The machine-cached plan a :meth:`SpatialMachine.send_plan` batch
+        replays, e.g. ``("sort_network", m, descending)``, or ``None``.
+        Accounting-neutral metadata for the workload-plan recorder.
     wall_ns:
         Host wall-clock nanoseconds the engine spent processing this bulk
         send, or ``None`` when no
         :class:`~repro.machine.wallclock.KernelWallProfiler` is attached.
         Host-dependent annotation only — never part of the model costs the
         differential equivalence suites pin.
+
+    Computed on first read, then cached on the event:
+
+    distance_histogram:
+        ``distance_histogram[d]`` = number of messages travelling exactly
+        distance ``d`` (``np.bincount`` of ``distances``), read-only.
+    src_count, dst_count:
+        Number of distinct senders / receivers.
     """
 
     step: int
@@ -94,23 +102,35 @@ class StepEvent:
     src: np.ndarray
     dst: np.ndarray
     distances: np.ndarray
-    distance_histogram: np.ndarray
     energy: int
     messages: int
-    src_count: int
-    dst_count: int
     depth_before: int
     depth_after: int
     metric: str
     payload: np.ndarray | None = None
     combiner: str | None = None
     rounds: np.ndarray | None = None
+    plan_ref: tuple[object, ...] | None = None
     wall_ns: int | None = None
+
+    @cached_property
+    def distance_histogram(self) -> np.ndarray:
+        hist = np.bincount(self.distances)
+        hist.setflags(write=False)
+        return hist
+
+    @cached_property
+    def src_count(self) -> int:
+        return len(np.unique(self.src))
+
+    @cached_property
+    def dst_count(self) -> int:
+        return len(np.unique(self.dst))
 
     @property
     def max_distance(self) -> int:
         """Longest single message in this step."""
-        return int(len(self.distance_histogram)) - 1 if len(self.distance_histogram) else 0
+        return int(self.distances.max()) if len(self.distances) else 0
 
     @property
     def n_rounds(self) -> int:
@@ -145,28 +165,6 @@ class Instrument:
 
     def on_phase_exit(self, name: str, depth: int) -> None:  # pragma: no cover
         pass
-
-
-class LedgerInstrument(Instrument):
-    """Cost accounting as an instrument: feeds a :class:`CostLedger`.
-
-    The machine attaches one of these at construction; ``machine.ledger``
-    is a view onto ``self.ledger``.
-    """
-
-    def __init__(self, ledger: CostLedger | None = None) -> None:
-        from repro.machine.ledger import CostLedger
-
-        self.ledger = ledger if ledger is not None else CostLedger()
-
-    def on_step(self, event: StepEvent) -> None:
-        self.ledger.charge(event.energy, event.messages)
-
-    def on_phase_enter(self, name: str, depth: int) -> None:
-        self.ledger.begin_phase(name, depth)
-
-    def on_phase_exit(self, name: str, depth: int) -> None:
-        self.ledger.end_phase(name, depth)
 
 
 class TracerInstrument(Instrument):

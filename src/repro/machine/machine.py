@@ -15,11 +15,13 @@ terms exactly while the payload arithmetic runs as ordinary numpy. Python
 never parallelises anything — it doesn't need to, because energy and depth
 are schedule-independent properties of the message DAG.
 
-Observability is uniform: every charged bulk send emits exactly one
-:class:`~repro.machine.instrumentation.StepEvent` to the attached
-:class:`~repro.machine.instrumentation.Instrument` subscribers. The cost
-ledger and the congestion tracer are themselves instruments; reports and
-trace exporters (:mod:`repro.analysis.report`) are just more subscribers.
+The machine charges its own :class:`~repro.machine.ledger.CostLedger`
+inline. Everything else observes one stream: every charged bulk send emits
+exactly one :class:`~repro.machine.instrumentation.StepEvent` to the
+attached :class:`~repro.machine.instrumentation.Instrument` subscribers —
+the congestion tracer, reports and trace exporters
+(:mod:`repro.analysis.report`) and the workload-plan recorder alike. With
+no subscriber attached no event is built at all.
 """
 
 from __future__ import annotations
@@ -30,19 +32,14 @@ import warnings
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.curves import resolve_curve
-from repro.errors import MachineStateError, ValidationError
+from repro.errors import MachineStateError, SanitizerError, ValidationError
 from repro.machine import clock_kernel
-from repro.machine.instrumentation import (
-    Instrument,
-    LedgerInstrument,
-    StepEvent,
-    TracerInstrument,
-)
+from repro.machine.instrumentation import Instrument, StepEvent, TracerInstrument
 from repro.machine.ledger import CostLedger, PhaseCost
 from repro.machine.registers import DEFAULT_BUDGET, RegisterFile
 from repro.machine.wallclock import NULL_SCOPE, KernelWallProfiler
@@ -51,14 +48,13 @@ from repro.utils import as_index_array, check_in_range
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.curves.base import SpaceFillingCurve
     from repro.machine.tracing import CongestionTracer
+    from repro.plans.recorder import WorkloadPlanRecorder
 
 
 @dataclass(frozen=True)
 class ClockAdvance:
     """Result of one bulk-step clock update (see :func:`advance_clocks`)."""
 
-    src_count: int
-    dst_count: int
     max_clock: int
 
 
@@ -100,8 +96,6 @@ def advance_clocks(clock: np.ndarray, src: np.ndarray, dst: np.ndarray) -> Clock
     dst_unique = rd_s[rstarts]
     clock[dst_unique] = np.maximum(clock[dst_unique] + rlens, group_max)
     return ClockAdvance(
-        src_count=int(len(group_starts)),
-        dst_count=int(len(dst_unique)),
         max_clock=max(int(clock[src].max()), int(clock[dst_unique].max())),
     )
 
@@ -217,33 +211,6 @@ class RoundPlan:
         cls, machine: SpatialMachine, src: np.ndarray, dst: np.ndarray, rounds: np.ndarray
     ) -> RoundPlan:
         return cls(src, dst, rounds, machine.manhattan(src, dst))
-
-
-class PlanRecorderHook(Protocol):
-    """What the machine needs from an attached workload-plan recorder.
-
-    The concrete implementation lives in :mod:`repro.plans.recorder`; the
-    machine only ever calls these three hooks, keeping the dependency
-    pointing from ``repro.plans`` to ``repro.machine`` and not back. The
-    recorder is *not* an :class:`Instrument`: recording must survive the
-    batched engine's ledger-only fast path, which skips the
-    :class:`StepEvent` stream.
-    """
-
-    def on_machine_step(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        rounds: np.ndarray | None,
-        dist: np.ndarray,
-        *,
-        combiner: str | None,
-        plan_ref: tuple[object, ...] | None,
-    ) -> None: ...
-
-    def on_phase_enter(self, name: str) -> None: ...
-
-    def on_phase_exit(self, name: str) -> None: ...
 
 
 #: sentinel distinguishing a stored ``None`` plan from a cache miss
@@ -364,15 +331,14 @@ class SpatialMachine:
             raise ValidationError(f"engine must be scalar|batched, got {engine!r}")
         self.metric = metric
         self.engine = engine
-        self._uniq_scratch: np.ndarray | None = None
         self._clock_scratch: ClockScratch | None = None
-        self._arange_buf: np.ndarray | None = None
         #: memoized replay plans (e.g. sort networks) keyed by the caller;
         #: depends only on the placement, so it survives :meth:`reset_costs`
         self.plan_cache = PlanCache()
-        #: attached workload-plan recorder (see :class:`PlanRecorderHook`);
-        #: set/cleared by :class:`repro.plans.WorkloadPlanRecorder`
-        self.plan_recorder: PlanRecorderHook | None = None
+        #: the active :class:`repro.plans.WorkloadPlanRecorder`, set and
+        #: cleared by the recorder itself; the machine never calls it —
+        #: data-dependent kernels report their coin epochs through it
+        self.plan_recorder: WorkloadPlanRecorder | None = None
         self.n = int(n)
         self.curve = resolve_curve(curve)
         self.side = self.curve.validate_side(side) if side else self.curve.min_side(n)
@@ -388,17 +354,15 @@ class SpatialMachine:
         self.clock = np.zeros(self.n, dtype=np.int64)
         self._max_clock = 0
         self.registers = RegisterFile(self.n, budget=budget)
+        self._ledger = CostLedger()
         # --- instrumentation -------------------------------------------
         self._instruments: list[Instrument] = []
         self._phase_stack: list[str] = []
         self._step_index = 0
         #: (instrument, hook-name, exception) triples from raising instruments
         self.instrument_errors: list[tuple[Instrument, str, Exception]] = []
-        self._ledger_instrument = LedgerInstrument()
         self._tracer_instrument: TracerInstrument | None = None
         self._wall_profiler: KernelWallProfiler | None = None
-        self._ledger_fast_path = False
-        self.attach(self._ledger_instrument)
         self._delivery_rng = (
             np.random.default_rng(permute_delivery)
             if permute_delivery is not None
@@ -432,7 +396,6 @@ class SpatialMachine:
                 self._tracer_instrument = instrument
             if isinstance(instrument, KernelWallProfiler):
                 self._wall_profiler = instrument
-            self._refresh_fast_path()
             self._call(instrument, "on_attach", self)
         return instrument
 
@@ -445,29 +408,13 @@ class SpatialMachine:
             self._tracer_instrument = None
         if instrument is self._wall_profiler:
             self._wall_profiler = None
-        self._refresh_fast_path()
         return instrument
-
-    def _refresh_fast_path(self) -> None:
-        """Recompute whether the batched engine may skip event assembly.
-
-        True when the ledger is the only *event-consuming* instrument: the
-        wall profiler is timed inline (it ignores ``on_step``), so its
-        presence keeps the ledger-only fast path alive — profiling must not
-        change which engine path it is measuring.
-        """
-        self._ledger_fast_path = self._ledger_instrument in self._instruments and all(
-            i is self._ledger_instrument or i is self._wall_profiler
-            for i in self._instruments
-        )
 
     def _call(self, instrument: Instrument, hook: str, *args) -> None:
         """Run one instrument hook, isolating failures from the simulation
         (and from the other instruments — cost accounting must survive a
         buggy observer). :class:`~repro.errors.SanitizerError` is exempt:
         a strict-mode sanitizer's whole job is to abort the run."""
-        from repro.errors import SanitizerError
-
         try:
             getattr(instrument, hook)(*args)
         except SanitizerError:
@@ -488,7 +435,7 @@ class SpatialMachine:
         reported as its own row instead of inside the enclosing kernel."""
         wp = self._wall_profiler
         for instrument in list(self._instruments):
-            if wp is None or instrument is wp or instrument is self._ledger_instrument:
+            if wp is None or instrument is wp:
                 self._call(instrument, hook, *args)
             else:
                 with wp.kernel(f"observe.{type(instrument).__name__}"):
@@ -506,12 +453,12 @@ class SpatialMachine:
 
     @property
     def ledger(self) -> CostLedger:
-        """The built-in cost ledger (fed by a :class:`LedgerInstrument`)."""
-        return self._ledger_instrument.ledger
+        """The machine's cost ledger, charged inline by every send."""
+        return self._ledger
 
     @ledger.setter
     def ledger(self, value: CostLedger) -> None:
-        self._ledger_instrument.ledger = value
+        self._ledger = value
 
     @property
     def tracer(self) -> CongestionTracer | None:
@@ -605,9 +552,10 @@ class SpatialMachine:
         a vertex talking to Θ(Δ) neighbours directly costs Θ(Δ) depth —
         which is precisely why the paper's §III-D virtual trees exist.
 
-        Each call that charges at least one remote message emits exactly one
-        :class:`StepEvent` to every attached instrument (the ledger included)
-        — the single hook point on this hot path.
+        Each call that charges at least one remote message charges the
+        ledger and, when instruments are attached, emits exactly one
+        :class:`StepEvent` to each of them — the single hook point on this
+        hot path.
         """
         src = as_index_array(np.atleast_1d(src), name="src")
         dst = as_index_array(np.atleast_1d(dst), name="dst")
@@ -633,18 +581,15 @@ class SpatialMachine:
             # clocks only grow in this method, so the max is maintainable
             # incrementally from the entries just touched (O(k), not O(n))
             self._max_clock = max(self._max_clock, adv.max_clock)
+            energy = int(dist.sum())
+            self._ledger.charge(energy, len(rs))
             if wp is not None:
                 t2 = wp.clock()
                 wp.rec("send.clock_advance", t2 - t1)
-            rec = self.plan_recorder
-            if rec is not None:
-                rec.on_machine_step(rs, rd, None, dist, combiner=combiner, plan_ref=None)
             if self._instruments:
                 rs.setflags(write=False)
                 rd.setflags(write=False)
                 dist.setflags(write=False)
-                histogram = np.bincount(dist)
-                histogram.setflags(write=False)
                 payload = None
                 if values is not None:
                     payload = np.atleast_1d(np.asarray(values))[remote]
@@ -655,11 +600,8 @@ class SpatialMachine:
                     src=rs,
                     dst=rd,
                     distances=dist,
-                    distance_histogram=histogram,
-                    energy=int(dist.sum()),
-                    messages=int(len(rs)),
-                    src_count=adv.src_count,
-                    dst_count=adv.dst_count,
+                    energy=energy,
+                    messages=len(rs),
                     depth_before=depth_before,
                     depth_after=self._max_clock,
                     metric=self.metric,
@@ -803,11 +745,11 @@ class SpatialMachine:
         engine this falls back to the validated :meth:`send_batch` path.
 
         ``plan_ref`` (optional) names the *cached* plan these arrays came
-        from — e.g. ``("sort_network", m, descending)`` — purely as
-        metadata for an attached workload-plan recorder: the recorder
-        stores the reference instead of materializing the (potentially
-        huge) message arrays, and replay resolves it through the machine's
-        plan cache. It changes no accounting.
+        from — e.g. ``("sort_network", m, descending)``. It rides on the
+        emitted :class:`StepEvent` as metadata for the workload-plan
+        recorder, which stores the reference instead of materializing the
+        (potentially huge) message arrays; replay resolves it through the
+        machine's plan cache. It changes no accounting.
         """
         if self.engine != "batched":
             return self.send_batch(
@@ -849,8 +791,6 @@ class SpatialMachine:
         else:
             remote = src != dst
             n_remote = int(np.count_nonzero(remote))
-            if n_remote == 0:
-                return values
             if n_remote == len(src):
                 rs, rd = src, dst
                 roffsets = offsets
@@ -860,6 +800,8 @@ class SpatialMachine:
                 roffsets = keep[offsets]
                 if dist is not None:
                     dist = dist[remote]
+        if n_remote == 0:
+            return values
         nonempty = np.diff(roffsets) > 0
         if not nonempty.all():
             roffsets = np.concatenate([roffsets[:1], roffsets[1:][nonempty]])
@@ -876,37 +818,21 @@ class SpatialMachine:
         # called through the module global, so it can be wrapped there
         adv = advance_clocks_batch(self.clock, rs, rd, roffsets, self._clock_buffers())
         self._max_clock = max(self._max_clock, adv.max_clock)
+        energy = int(dist.sum())
+        self._ledger.charge(energy, n_remote)
         if wp is not None:
             t2 = wp.clock()
             wp.rec("batch.clock_advance", t2 - t1)
             t1 = t2
-        rec = self.plan_recorder
-        if rec is not None and len(rs):
-            rec.on_machine_step(rs, rd, roffsets, dist, combiner=combiner, plan_ref=plan_ref)
-        instruments = self._instruments
-        if self._ledger_fast_path:
-            # the always-attached ledger only reads energy/messages — skip
-            # the (histogram, distinct-count, frozen-view) event assembly
-            energy = int(dist.sum())
-            self._ledger_instrument.ledger.charge(energy, int(len(rs)))
-            if wp is not None:
-                wp.rec(
-                    "batch.ledger_charge", wp.clock() - t1,
-                    messages=len(rs), energy=energy,
-                )
-        elif instruments:
+        if self._instruments:
             # freeze *views* — in the all-remote case rs/rd/dist/vals/roffsets
             # can alias caller-owned arrays whose writeability must survive
             ev_src, ev_dst, ev_off = rs.view(), rd.view(), roffsets.view()
+            ev_dist = dist.view()
             ev_src.setflags(write=False)
             ev_dst.setflags(write=False)
             ev_off.setflags(write=False)
-            ev_dist = dist.view()
             ev_dist.setflags(write=False)
-            histogram = np.bincount(dist)
-            histogram.setflags(write=False)
-            scratch = self._scratch()
-            ar = self._arange(len(rs))
             payload = None
             if vals is not None:
                 payload = (vals[remote] if n_remote != len(src) else vals).view()
@@ -917,23 +843,21 @@ class SpatialMachine:
                 src=ev_src,
                 dst=ev_dst,
                 distances=ev_dist,
-                distance_histogram=histogram,
-                energy=int(dist.sum()),
-                messages=int(len(rs)),
-                src_count=self._distinct(rs, scratch, ar),
-                dst_count=self._distinct(rd, scratch, ar),
+                energy=energy,
+                messages=n_remote,
                 depth_before=depth_before,
                 depth_after=self._max_clock,
                 metric=self.metric,
                 payload=payload,
                 combiner=combiner,
                 rounds=ev_off,
+                plan_ref=plan_ref,
                 wall_ns=(wp.clock() - t0) if wp is not None else None,
             )
             if wp is not None:
                 wp.rec(
                     "batch.event_assembly", wp.clock() - t1,
-                    messages=len(rs), energy=event.energy,
+                    messages=n_remote, energy=energy,
                 )
             self._emit("on_step", event)
         self._step_index += adv.rounds
@@ -962,33 +886,6 @@ class SpatialMachine:
                 )
         return buf
 
-    def _scratch(self) -> np.ndarray:
-        """Lazily-allocated n-sized int64 work array for event assembly."""
-        scr = self._uniq_scratch
-        if scr is None:
-            scr = np.empty(self.n, dtype=np.int64)
-            self._uniq_scratch = scr
-            if self._wall_profiler is not None:
-                self._wall_profiler.alloc("machine.scratch", scr.nbytes)
-        return scr
-
-    def _arange(self, k: int) -> np.ndarray:
-        """``np.arange(k)`` served from a grow-only cached buffer."""
-        buf = self._arange_buf
-        if buf is None or len(buf) < k:
-            buf = np.arange(max(k, 1024), dtype=np.int64)
-            self._arange_buf = buf
-            if self._wall_profiler is not None:
-                self._wall_profiler.alloc("machine.arange", buf.nbytes)
-        return buf[:k]
-
-    @staticmethod
-    def _distinct(ids: np.ndarray, scratch: np.ndarray, ar: np.ndarray) -> int:
-        """Number of distinct ids, via the last-write-wins stamp (O(k))."""
-        a = ar[: len(ids)]
-        scratch[ids] = a
-        return int(np.count_nonzero(scratch[ids] == a))
-
     def charge_external(self, energy: int, messages: int) -> None:
         """Fold a bill from outside this machine's event stream into the
         ledger (e.g. a subroutine that ran on its own machine, charged by
@@ -1001,7 +898,7 @@ class SpatialMachine:
                 f"external charges must be non-negative, got energy={energy}, "
                 f"messages={messages}"
             )
-        self.ledger.charge(int(energy), int(messages))
+        self._ledger.charge(int(energy), int(messages))
 
     def gather_from(self, dst: np.ndarray, src: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Convenience: ``dst[i]`` receives ``values[src[i]]`` (charged send)."""
@@ -1018,12 +915,12 @@ class SpatialMachine:
     @property
     def energy(self) -> int:
         """Total energy charged so far."""
-        return self.ledger.energy
+        return self._ledger.energy
 
     @property
     def messages(self) -> int:
         """Total number of (remote) messages charged so far."""
-        return self.ledger.messages
+        return self._ledger.messages
 
     @property
     def steps(self) -> int:
@@ -1032,25 +929,21 @@ class SpatialMachine:
 
     @contextmanager
     def phase(self, name: str) -> Iterator[PhaseCost]:
-        """Phase context manager: notifies instruments and attributes costs.
+        """Phase context manager: attributes costs and notifies instruments.
 
-        Yields the ledger's :class:`PhaseCost` bucket for ``name`` (as the
-        pre-instrumentation API did), so ``with m.phase("x") as p`` keeps
-        working.
+        Yields the ledger's :class:`PhaseCost` bucket for ``name``, so
+        ``with m.phase("x") as p`` reads the phase's bill. The ledger opens
+        and closes the phase before any instrument hears of it.
         """
         self._phase_stack.append(name)
-        rec = self.plan_recorder
-        if rec is not None:
-            rec.on_phase_enter(name)
-        self._emit("on_phase_enter", name, self.depth)
+        bucket = self._ledger.begin_phase(name, self._max_clock)
+        self._emit("on_phase_enter", name, self._max_clock)
         try:
-            yield self.ledger.phases.get(name)
+            yield bucket
         finally:
             self._phase_stack.pop()
-            rec = self.plan_recorder
-            if rec is not None:
-                rec.on_phase_exit(name)
-            self._emit("on_phase_exit", name, self.depth)
+            self._ledger.end_phase(name, self._max_clock)
+            self._emit("on_phase_exit", name, self._max_clock)
 
     @property
     def phase_stack(self) -> tuple[str, ...]:

@@ -27,7 +27,7 @@ Design:
   machine phase active when the scope closed — joining against the cost
   ledger's per-phase energy yields the wall-vs-energy "efficiency" view.
 * Allocation counters (:meth:`KernelWallProfiler.alloc`) count the batched
-  engine's buffer growth (scratch/arange caches, plan builds) — cheap
+  engine's buffer growth (clock scratch, plan builds) — cheap
   evidence for "is this phase allocating or reusing?".
 
 Wall-clock numbers are **host-dependent**: they never participate in the

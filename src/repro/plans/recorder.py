@@ -20,9 +20,11 @@ in the ranking flows from the coins. On a mismatch the replay aborts with
 :class:`~repro.errors.PlanSpeculationError` and the caller falls back to
 live execution (and re-records).
 
-The recorder hooks the machine directly (``machine.plan_recorder``), not
-the :class:`~repro.machine.instrumentation.StepEvent` stream, because
-events are skipped on the batched engine's ledger-only fast path.
+The recorder is an ordinary :class:`~repro.machine.instrumentation.Instrument`:
+it reads the same :class:`~repro.machine.instrumentation.StepEvent` stream
+as every other observer, so a plan does not depend on who else is
+watching. ``machine.plan_recorder`` points at the active recorder only so
+the data-dependent kernels can report their coin epochs.
 
 A plan's arrays are immutable once recorded: :mod:`repro.plans.store`
 persists them as raw 64-byte-aligned columns and a load hands every
@@ -40,6 +42,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import MachineStateError, ValidationError
+from repro.machine.instrumentation import Instrument, StepEvent
 from repro.machine.machine import SpatialMachine
 
 PLAN_SCHEMA = "repro.workload-plan/v3"
@@ -204,7 +207,7 @@ class WorkloadPlan:
         }
 
 
-class WorkloadPlanRecorder:
+class WorkloadPlanRecorder(Instrument):
     """Capture one workload execution on ``machine`` into a plan.
 
     Use as a context manager around the workload call::
@@ -213,17 +216,17 @@ class WorkloadPlanRecorder:
             result = treefix_sum(st, values, seed=seed)
         plan = rec.build(workload="treefix", ..., results={"out": result})
 
-    Implements the machine's
-    :class:`~repro.machine.machine.PlanRecorderHook` protocol; the
-    algorithm-side hooks (:meth:`epoch`, :meth:`mark_speculative`) are
-    called by the data-dependent kernels via ``machine.plan_recorder``.
+    Entering attaches the recorder to the machine's event stream (and
+    claims ``machine.plan_recorder``, one recorder per machine); exiting
+    detaches it. The algorithm-side hooks (:meth:`epoch`,
+    :meth:`mark_speculative`) are called by the data-dependent kernels via
+    ``machine.plan_recorder``.
     """
 
     def __init__(self, machine: SpatialMachine) -> None:
         self.machine = machine
         self.ops: list[PlanOp] = []
         self.speculative: set[str] = set()
-        self._active = False
 
     # -- lifecycle ----------------------------------------------------- #
 
@@ -231,56 +234,46 @@ class WorkloadPlanRecorder:
         if self.machine.plan_recorder is not None:
             raise MachineStateError("machine already has a plan recorder attached")
         self.machine.plan_recorder = self
-        self._active = True
+        self.machine.attach(self)
         return self
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
+        self.machine.detach(self)
         self.machine.plan_recorder = None
-        self._active = False
 
-    # -- machine hooks (PlanRecorderHook) ------------------------------ #
+    # -- event stream --------------------------------------------------- #
 
-    def on_phase_enter(self, name: str) -> None:
+    def on_phase_enter(self, name: str, depth: int) -> None:
         self.ops.append(PhaseEnterOp(name))
 
-    def on_phase_exit(self, name: str) -> None:
+    def on_phase_exit(self, name: str, depth: int) -> None:
         self.ops.append(PhaseExitOp(name))
 
-    def on_machine_step(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        rounds: np.ndarray | None,
-        dist: np.ndarray,
-        *,
-        combiner: str | None,
-        plan_ref: tuple[object, ...] | None,
-    ) -> None:
-        if plan_ref is not None:
-            family, *params = plan_ref
+    def on_step(self, event: StepEvent) -> None:
+        if event.plan_ref is not None:
+            family, *params = event.plan_ref
             self.ops.append(
                 PlanRefOp(
                     family=str(family),
                     params=tuple(params),
-                    rounds=1 if rounds is None else int(len(rounds) - 1),
-                    messages=int(len(src)),
-                    energy=int(dist.sum()),
+                    rounds=event.n_rounds,
+                    messages=event.messages,
+                    energy=event.energy,
                 )
             )
             return
-        k = len(src)
         offs = (
-            np.array([0, k], dtype=np.int64)
-            if rounds is None
-            else np.array(rounds, dtype=np.int64, copy=True)
+            np.array([0, event.messages], dtype=np.int64)
+            if event.rounds is None
+            else np.array(event.rounds, dtype=np.int64, copy=True)
         )
         self.ops.append(
             StepOp(
-                src=np.array(src, dtype=np.int64, copy=True),
-                dst=np.array(dst, dtype=np.int64, copy=True),
+                src=np.array(event.src, dtype=np.int64, copy=True),
+                dst=np.array(event.dst, dtype=np.int64, copy=True),
                 rounds=offs,
-                dist=np.array(dist, dtype=np.int64, copy=True),
-                combiner=combiner,
+                dist=np.array(event.distances, dtype=np.int64, copy=True),
+                combiner=event.combiner,
             )
         )
 
@@ -325,7 +318,18 @@ class WorkloadPlanRecorder:
         results: dict[str, np.ndarray],
         result_scalars: dict[str, Any] | None = None,
     ) -> WorkloadPlan:
-        """Assemble the plan from the recorded ops + the machine's totals."""
+        """Assemble the plan from the recorded ops + the machine's totals.
+
+        Raises :class:`~repro.errors.MachineStateError` if any of this
+        recorder's hooks raised: the machine isolates instrument failures,
+        so the op stream would be short of what the machine charged.
+        """
+        failed = [hook for inst, hook, _ in self.machine.instrument_errors if inst is self]
+        if failed:
+            raise MachineStateError(
+                f"plan recorder hook(s) {sorted(set(failed))} raised during "
+                "recording; the op stream is incomplete (see machine.instrument_errors)"
+            )
         if not isinstance(seed, (int, np.integer)):
             raise ValidationError(
                 f"plan recording needs an explicit integer seed, got {seed!r} "

@@ -6,7 +6,6 @@ import pytest
 from repro.machine import (
     CostLedger,
     Instrument,
-    LedgerInstrument,
     SpatialMachine,
     SpatialProfiler,
     StepLog,
@@ -74,9 +73,12 @@ class TestSubscription:
         m = SpatialMachine(16)
         m.detach(Collector())  # must not raise
 
-    def test_ledger_is_a_builtin_instrument(self):
+    def test_fresh_machine_has_no_instruments(self):
+        # the ledger is the machine's own state, not a subscriber
         m = SpatialMachine(16)
-        assert any(isinstance(i, LedgerInstrument) for i in m.instruments)
+        assert m.instruments == ()
+        m.send(0, 1)
+        assert m.messages == 1 and m.energy > 0
 
     def test_detach_mid_run_stops_event_flow(self):
         m = SpatialMachine(16)
@@ -89,13 +91,33 @@ class TestSubscription:
         # the machine itself keeps accounting
         assert m.messages == 2
 
-    def test_detached_ledger_stops_charging(self):
-        m = SpatialMachine(16)
-        ledger_inst = next(i for i in m.instruments if isinstance(i, LedgerInstrument))
-        m.send(0, 1)
-        m.detach(ledger_inst)
-        m.send(1, 2)
-        assert m.messages == 1  # second send unobserved by the ledger
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    def test_raising_instrument_cannot_change_snapshot(self, engine):
+        # the ledger is charged before any observer runs, so no observer
+        # failure (on a step or a phase boundary) can move the bill
+        class AllHooksExplode(Instrument):
+            def on_step(self, event):
+                raise RuntimeError("step boom")
+
+            def on_phase_enter(self, name, depth):
+                raise RuntimeError("enter boom")
+
+            def on_phase_exit(self, name, depth):
+                raise RuntimeError("exit boom")
+
+        def run(m):
+            with m.phase("p"):
+                m.send_batch(np.arange(8), np.arange(8, 16)[::-1], rounds=[0, 3, 8])
+            return m.snapshot(), m.steps, m.ledger.summary()
+
+        m = SpatialMachine(32, engine=engine)
+        m.attach(AllHooksExplode())
+        with pytest.warns(RuntimeWarning):
+            observed = run(m)
+        assert observed == run(SpatialMachine(32, engine=engine))
+        assert {hook for _, hook, _ in m.instrument_errors} == {
+            "on_step", "on_phase_enter", "on_phase_exit"
+        }
 
 
 class TestStepEvents:
@@ -112,20 +134,73 @@ class TestStepEvents:
         assert a.events[1].phases == ()
 
     def test_event_fields_consistent(self):
-        m = SpatialMachine(64)
+        for engine in ("scalar", "batched"):
+            self._check_event_fields(engine)
+
+    @staticmethod
+    def _check_event_fields(engine):
+        m = SpatialMachine(64, engine=engine)
         log = m.attach(StepLog())
         m.send([0, 0, 1, 7], [9, 3, 1, 2])  # 1->1 is free
-        (ev,) = log.events
+        # a multi-round batch with repeated endpoints and a free self-message
+        m.send_batch(
+            [4, 4, 5, 6, 6, 6, 9, 12], [20, 21, 20, 6, 30, 31, 20, 40],
+            rounds=[0, 3, 6, 8],
+        )
+        ev = log.events[0]
         assert ev.step == 0
         assert ev.messages == 3 == len(ev.src) == len(ev.dst) == len(ev.distances)
-        assert ev.energy == int(ev.distances.sum()) == m.energy
-        assert ev.distance_histogram.sum() == ev.messages
         assert ev.src_count == 2  # senders 0 and 7
         assert ev.dst_count == 3
         assert ev.depth_before == 0
-        assert ev.depth_after == m.depth
         assert ev.metric == "manhattan"
-        assert ev.max_distance == int(ev.distances.max())
+        assert log.events[-1].depth_after == m.depth
+        assert sum(e.energy for e in log.events) == m.energy
+        assert sum(e.messages for e in log.events) == m.messages == 10
+        for ev in log.events:
+            assert ev.energy == int(ev.distances.sum())
+            assert ev.messages == len(ev.src) == len(ev.dst) == len(ev.distances)
+            hist = ev.distance_histogram
+            assert np.array_equal(hist, np.bincount(ev.distances))
+            with pytest.raises(ValueError):
+                hist[0] = 1
+            assert ev.src_count == len(np.unique(ev.src))
+            assert ev.dst_count == len(np.unique(ev.dst))
+            # computed once, then cached on the event
+            assert ev.distance_histogram is hist
+            assert ev.max_distance == int(ev.distances.max()) == len(hist) - 1
+        if engine == "batched":
+            (_, batch) = log.events
+            assert batch.n_rounds == 3 and batch.messages == 7
+            assert (batch.src_count, batch.dst_count) == (5, 5)
+        else:
+            assert len(log.events) == 4  # one event per non-empty round
+
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    def test_unobserved_machine_builds_no_events(self, engine, monkeypatch):
+        import repro.machine.machine as machine_mod
+        from repro.spatial import SpatialTree, treefix_sum
+        from repro.trees import prufer_random_tree
+
+        tree = prufer_random_tree(200, seed=3)
+        values = np.random.default_rng(3).integers(0, 100, size=tree.n)
+
+        def run():
+            st = SpatialTree.build(tree, seed=0, engine=engine)
+            assert st.machine.instruments == ()
+            out = treefix_sum(st, values, seed=1)
+            m = st.machine
+            return out, (m.energy, m.depth, m.messages, m.steps, m.ledger.summary())
+
+        ref_out, ref_costs = run()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an unobserved machine built a StepEvent")
+
+        monkeypatch.setattr(machine_mod, "StepEvent", refuse)
+        out, costs = run()
+        assert np.array_equal(out, ref_out)
+        assert costs == ref_costs
 
     def test_event_arrays_are_readonly(self):
         m = SpatialMachine(16)

@@ -24,17 +24,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import PlanKeyError, PlanSpeculationError
+from repro.errors import MachineStateError, PlanKeyError, PlanSpeculationError
+from repro.machine import KernelWallProfiler, StepLog
 from repro.machine.machine import SpatialMachine
 from repro.plans import (
+    WORKLOADS,
     EpochOp,
+    PlanRefOp,
     PlanStore,
+    StepOp,
     WorkloadPlanRecorder,
     execute_plan,
+    get_workload,
     load_plan,
     record,
     replay,
 )
+from repro.telemetry import DivergenceWatchdog, SpanTracer
 
 CURVES = ("hilbert", "zorder", "rowmajor", "boustrophedon")
 TREE_SHAPES = ("path", "star", "caterpillar", "binary", "random", "prufer", "decision")
@@ -205,14 +211,67 @@ def test_replay_geometry_mismatch_rejected(tmp_path):
 
 
 def test_recorder_is_exclusive_per_machine():
-    from repro.errors import MachineStateError
-
     m = SpatialMachine(4, engine="batched")
     with WorkloadPlanRecorder(m):
         with pytest.raises(MachineStateError):
             with WorkloadPlanRecorder(m):
                 pass  # pragma: no cover
     assert m.plan_recorder is None  # detached even after the nested failure
+    assert m.instruments == ()
+
+
+def test_recorder_failure_yields_no_plan(tmp_path, monkeypatch):
+    """The machine isolates a raising instrument, so a recorder hook that
+    fails would leave a short op stream; ``build`` refuses it instead."""
+    original = WorkloadPlanRecorder.on_step
+    calls = {"n": 0}
+
+    def flaky(self, event):
+        calls["n"] += 1
+        if calls["n"] == 3:
+            raise RuntimeError("recorder hook failed")
+        original(self, event)
+
+    monkeypatch.setattr(WorkloadPlanRecorder, "on_step", flaky)
+    store = PlanStore(tmp_path / "plans")
+    with pytest.warns(RuntimeWarning, match="WorkloadPlanRecorder.on_step"):
+        with pytest.raises(MachineStateError, match="on_step"):
+            record("treefix", n=64, seed=3, shape="prufer", store=store)
+    assert calls["n"] > 3  # the run went on past the failed hook
+    assert list((tmp_path / "plans").rglob("*.plan")) == []
+
+
+def _record_ops(workload, engine, observers=()):
+    spec = get_workload(workload)
+    prep = spec.prepare(shape=spec.default_shape, n=256, seed=5, engine=engine)
+    for obs in observers:
+        prep.machine.attach(obs)
+    with WorkloadPlanRecorder(prep.machine) as rec:
+        prep.execute()
+    assert not prep.machine.instrument_errors
+    return rec.ops
+
+
+@pytest.mark.parametrize("engine", ["scalar", "batched"])
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_recording_is_independent_of_other_observers(workload, engine):
+    """A plan is the same whether the recorder observes alone or next to
+    the watchdog, a span tracer, a step log and the wall profiler."""
+    alone = _record_ops(workload, engine)
+    observed = _record_ops(workload, engine, observers=(
+        DivergenceWatchdog(sample=1), SpanTracer(), StepLog(), KernelWallProfiler(),
+    ))
+    assert [type(op) for op in observed] == [type(op) for op in alone]
+    assert any(isinstance(op, (StepOp, PlanRefOp)) for op in alone)
+    for a, b in zip(alone, observed):
+        if isinstance(a, StepOp):
+            for name in ("src", "dst", "rounds", "dist"):
+                np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            assert a.combiner == b.combiner
+        else:  # phase, epoch and plan-reference ops compare by value
+            assert a == b
+    if workload == "sort" and engine == "batched":
+        assert any(isinstance(op, PlanRefOp) for op in alone)
 
 
 # --------------------------------------------------------------------------- #

@@ -96,10 +96,9 @@ class TestMachineIntegration:
         assert m.profile_kernel("x") is NULL_SCOPE
         assert p.attached_ns >= 0
 
-    def test_batched_ledger_fast_path_survives_profiling(self):
-        # profiling must measure the same engine path it observes: with
-        # only ledger + profiler attached the batched fast path stays on
-        # (visible as batch.ledger_charge rows instead of event replay)
+    def test_profiled_batched_run_attributes_engine_rows(self):
+        # a profiled batched run takes the one observed send path: the
+        # clock advance and the event assembly each report their own row
         tree = prufer_random_tree(256, seed=0)
         st = SpatialTree.build(tree, engine="batched")
         p = st.machine.attach(KernelWallProfiler())
@@ -108,8 +107,8 @@ class TestMachineIntegration:
         out = treefix_sum(st, values, seed=0)
         assert np.array_equal(out, bottom_up_treefix(tree, values))
         kernels = {k for (k, _) in p.rows}
-        assert "batch.ledger_charge" in kernels
         assert "batch.clock_advance" in kernels
+        assert "batch.event_assembly" in kernels
 
     @pytest.mark.parametrize("engine", ["scalar", "batched"])
     def test_profiled_run_costs_identical(self, engine):
